@@ -320,7 +320,6 @@ def _cmd_campaign_run(args) -> int:
     from repro.errors import ReproError
     from repro.fi import CampaignSpec, FaultOutcome, StopRule, run_campaign
     from repro.fi.runner import resolve_workers
-    from repro.hardening import tmr_harness_factory
     from repro.kernels import get_application
     from repro.telemetry import (TelemetrySession, read_events, telemetry_dir,
                                  write_trace)
@@ -335,17 +334,12 @@ def _cmd_campaign_run(args) -> int:
         print(f"{args.app} has no kernel {kernel!r} "
               f"(has: {', '.join(app.kernel_names)})", file=sys.stderr)
         return 2
-    if args.harden and args.hardened:
-        print("--harden names a registry scheme and --hardened is its "
-              "legacy TMR shorthand; pass one, not both", file=sys.stderr)
-        return 2
     label = f"{args.app}/{kernel}/{args.level}"
     if args.fault_model != "transient" or args.target != "storage":
         label += f"/{args.fault_model}/{args.target}"
     if args.harden:
         label += f"/{args.harden}"
     reporter = None if args.quiet else _CampaignProgress(label)
-    factory = tmr_harness_factory if args.hardened else None
     telemetry_on = bool(args.telemetry or args.trace or args.events)
     session = None
     if telemetry_on:
@@ -383,7 +377,6 @@ def _cmd_campaign_run(args) -> int:
         trials=args.trials,
         seed=args.seed,
         workers=args.workers,
-        hardened=args.hardened,
         harden=args.harden,
         fault_model=args.fault_model,
         target=args.target,
@@ -396,7 +389,6 @@ def _cmd_campaign_run(args) -> int:
     try:
         result = run_campaign(
             spec,
-            harness_factory=factory,
             progress=reporter,
             worker_progress=(reporter.worker_update
                              if reporter is not None
@@ -1050,8 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
                       metavar="N|auto",
                       help="trial-execution pool size (default: "
                            "REPRO_WORKERS; 'auto' = all cores but one)")
-    crun.add_argument("--hardened", action="store_true",
-                      help="run the TMR-hardened variant")
     crun.add_argument("--harden", default=None,
                       choices=["tmr", "dmr", "abft", "range"],
                       help="run under a hardening-zoo scheme (named "

@@ -8,7 +8,17 @@ a reset device with one planned fault, and tallies the outcome classes.
 :class:`CampaignSpec` names the injection ``level`` (``uarch``, ``sw``,
 ``sw-ld``, ``src``, ``src-sticky``), the application/kernel, the trial
 budget, the seed and the worker-pool size; runtime-only collaborators
-(profiles, harness factories, progress callbacks) are keyword arguments.
+(profiles, progress callbacks, telemetry sessions) are keyword arguments.
+Every level runs through one pipeline (key, cache, golden run, trials,
+result, cache store, ledger); a small per-level descriptor supplies what
+differs — the key fields, the fault planner, the injector and the result
+extras — and :func:`seed_tag` builds every level's seed-stream tag.
+
+``CampaignSpec(harden=...)`` runs the campaign under a protection scheme
+of :mod:`repro.hardening.registry` (``tmr``, ``dmr``, ``abft``,
+``range``): the golden run and every trial execute under the scheme's
+device harness, and the scheme joins the cache key and seed tag. It is
+the only way to name a protection scheme.
 
 ``uarch`` campaigns additionally select a fault model
 (``CampaignSpec(fault_model=...)``: ``transient`` — the paper's SEU —
@@ -83,6 +93,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.arch.config import GPUConfig
 from repro.arch.structures import Structure
@@ -99,6 +110,7 @@ from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
 from repro.fi.outcomes import FaultOutcome, OutcomeCounts
 from repro.fi.planner import StopRule
 from repro.fi.runner import ProgressFn, WorkerProgressFn, execute_trials
+import repro.fi.svf_modes as svf_modes
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
 from repro.sim.gpu import GPU
@@ -112,7 +124,8 @@ from repro.utils.rng import spawn_seeds
 
 __all__ = [
     "AppProfile", "CampaignResult", "CampaignSpec", "cache_dir",
-    "default_trials", "profile_app", "run_campaign", "trial_cycle_budget",
+    "default_trials", "profile_app", "run_campaign", "seed_tag",
+    "trial_cycle_budget",
     "CACHE_VERSION", "DEFAULT_TRIALS", "CAMPAIGN_LEVELS",
     "FAULT_MODELS", "FAULT_TARGETS",
 ]
@@ -124,12 +137,6 @@ log = get_logger(__name__)
 #: the spec, clamped — no longer wrapping — adjacent multi-bit groups, the
 #: REPRO_HANG_FACTOR trial watchdog).
 CACHE_VERSION = 12
-
-#: The injection levels ``run_campaign`` dispatches on. The ``uarch`` level
-#: additionally fans out over ``CampaignSpec.fault_model`` (transient /
-#: stuck0 / stuck1 / intermittent) and ``CampaignSpec.target``
-#: (storage / control).
-CAMPAIGN_LEVELS = ("uarch", "sw", "sw-ld", "src", "src-sticky")
 
 #: Floor for the trial-level watchdog budget: short golden runs still get
 #: enough headroom that a slow-but-terminating faulty run is not misread
@@ -233,6 +240,10 @@ class CampaignResult:
     kernel_cycles: int = 0
     kernel_instructions: int = 0
     control_path_masked: int = 0  # masked trials whose cycle count changed
+    #: The retired TMR flag: ``False`` for every new campaign (hardened
+    #: runs name their scheme in ``harden``). Kept in the payload so
+    #: unhardened payloads stay byte-identical and legacy ``true``
+    #: payloads still load.
     hardened: bool = False
     #: Hardening-zoo scheme name when the campaign ran under a registry
     #: scheme (``CampaignSpec.harden``); ``None`` otherwise — and then
@@ -290,8 +301,8 @@ class CampaignSpec:
     means the application's first kernel, ``config=None`` the paper's
     tool pairing for the level (GV100 for ``uarch``, V100 otherwise).
     ``trials=None`` and ``workers=None`` defer to ``REPRO_TRIALS`` /
-    ``REPRO_WORKERS``. Runtime-only collaborators (profiles, harness
-    factories, progress callbacks) are keyword arguments of
+    ``REPRO_WORKERS``. Runtime-only collaborators (profiles, progress
+    callbacks, telemetry sessions) are keyword arguments of
     :func:`run_campaign`, not part of the spec — the spec is exactly the
     identity that determines the result.
     """
@@ -304,14 +315,12 @@ class CampaignSpec:
     trials: int | None = None
     seed: int = 1
     workers: int | None = None
-    hardened: bool = False
-    #: Hardening-zoo scheme by name (``tmr``/``dmr``/``abft``/``range``,
-    #: see :mod:`repro.hardening.registry`): the campaign resolves its
-    #: harness factory from the registry, and the scheme joins the cache
-    #: key, seed tag and journal meta. ``None`` (the default) leaves
-    #: every existing identity byte-for-byte untouched. The legacy
-    #: ``hardened`` flag stays the experiment-local TMR shorthand;
-    #: setting both is a config error.
+    #: Protection scheme by name (``tmr``/``dmr``/``abft``/``range``, see
+    #: :mod:`repro.hardening.registry`) — the only way to run a hardened
+    #: campaign: the campaign resolves its harness factory from the
+    #: registry (golden run and every trial), and the scheme joins the
+    #: cache key, seed tag and journal meta. ``None`` (the default) leaves
+    #: every unhardened identity byte-for-byte untouched.
     harden: str | None = None
     num_bits: int = 1  # uarch fault model: 1 = single-bit, 2 = adjacent
     ecc_protected: bool = False  # uarch only: SECDED on the target structure
@@ -355,10 +364,10 @@ class CampaignSpec:
         """A copy of this spec with the given fields replaced.
 
         The campaign analogue of :func:`dataclasses.replace`: experiments
-        that sweep one axis (hardened, fault model, structure, trial
-        count) derive the variants from one base spec instead of
+        that sweep one axis (protection scheme, fault model, structure,
+        trial count) derive the variants from one base spec instead of
         restating every field —
-        ``spec.derive(hardened=True, trials=40)``.
+        ``spec.derive(harden="tmr", trials=40)``.
         """
         return dataclasses.replace(self, **overrides)
 
@@ -389,10 +398,137 @@ def _resolve_config(config, level: str) -> GPUConfig:
     return config
 
 
+def seed_tag(kind: str, app: str, kernel: str, config: str, *,
+             structure: str | None = None, fault_model: str = "transient",
+             target: str = "storage", harden: str | None = None,
+             hardened: bool = False) -> str:
+    """The seed-stream tag of a campaign, also its journal/ledger label.
+
+    ``kind`` is the injector kind (``uarch``, ``sw``, ``sw-ld``,
+    ``sw-src-transient``, ``sw-src-sticky``). Source-level tags are
+    ``app/kernel/kind/config``. The others are
+    ``app/kernel/kind[/structure]/config/hardened`` — uarch names its
+    structure, ``control`` for control-target campaigns — plus
+    ``/fault_model/target`` when either axis is non-default and
+    ``/harden`` for a registry scheme. ``hardened`` is the retired TMR
+    flag: always ``False`` for new campaigns, ``True`` only when
+    rebuilding the tag of a legacy payload.
+    """
+    if kind.startswith("sw-src"):
+        return f"{app}/{kernel}/{kind}/{config}"
+    site = f"/{structure or 'control'}" if kind == "uarch" else ""
+    tag = f"{app}/{kernel}/{kind}{site}/{config}/{hardened}"
+    if fault_model != "transient" or target != "storage":
+        tag += f"/{fault_model}/{target}"
+    if harden:
+        tag += f"/{harden}"
+    return tag
+
+
+@dataclass
+class _Level:
+    """What one injection level contributes to the campaign pipeline: how
+    it keys, plans, injects and labels its faults."""
+
+    kind: str  # injector kind: cache-key "kind", seed tag, result injector
+    key_fields: dict  # cache-key entries only this level has
+    #: ``plan(launches, trial_seed, context)`` -> the trial's fault plan.
+    plan: Callable
+    injector_attr: str  # the GPU hook the plan's injector arms
+    injector_cls: type
+    site: Callable  # ``site(plan)`` -> the SDC-anatomy site label
+    structure: Structure | None = None  # uarch storage target (derating)
+    #: Plan over hardening post-steps (``<kernel>@vote``) too? NVBitFI
+    #: instruments the kernel only; uarch faults hit the whole unit.
+    include_post: bool = True
+    count_field: str = "injectable"  # launch counter of kernel_instructions
+
+
+def _microarch_level(spec: CampaignSpec) -> _Level:
+    if spec.target == "control":
+        if spec.structure is not None:
+            raise ConfigError(
+                "control-target campaigns inject the parallelism-"
+                "management state and pick their own sites; drop the "
+                "structure")
+        if spec.ecc_protected:
+            raise ConfigError(
+                "ECC protects storage arrays, not parallelism-"
+                "management state; drop ecc_protected for "
+                "target='control'")
+        structure = None
+    else:
+        if spec.structure is None:
+            raise ConfigError("uarch campaigns need a target structure")
+        structure = (Structure(spec.structure)
+                     if not isinstance(spec.structure, Structure)
+                     else spec.structure)
+    # Control-target campaigns have no storage structure; "control" stands
+    # in wherever a structure name keys or labels things.
+    name = structure.value if structure is not None else "control"
+
+    def plan(launches, trial_seed, context):
+        return plan_microarch_fault(launches, structure, trial_seed,
+                                    spec.num_bits, spec.ecc_protected,
+                                    spec.fault_model, spec.target,
+                                    context=context)
+
+    # "hardened" is the retired TMR flag, pinned False so keys keep their
+    # legacy shape (likewise for the sw levels).
+    return _Level("uarch", {"structure": name, "hardened": False,
+                            "num_bits": spec.num_bits,
+                            "ecc": spec.ecc_protected},
+                  plan, "uarch_injector", MicroarchInjector,
+                  lambda _plan: name, structure=structure)
+
+
+def _software_level(spec: CampaignSpec) -> _Level:
+    loads_only = spec.level == "sw-ld"
+
+    def plan(launches, trial_seed, context):
+        return plan_software_fault(launches, trial_seed, loads_only,
+                                   context=context)
+
+    return _Level(spec.level, {"hardened": False}, plan, "sw_injector",
+                  SoftwareInjector,
+                  lambda plan: plan.injected_class or spec.level,
+                  include_post=False,
+                  count_field="injectable_loads" if loads_only
+                  else "injectable")
+
+
+def _source_level(spec: CampaignSpec) -> _Level:
+    if spec.harden is not None:
+        raise ConfigError("source-level campaigns have no hardened variant")
+    sticky = spec.level == "src-sticky"
+
+    def plan(launches, trial_seed, context):
+        return svf_modes.plan_source_fault(launches, trial_seed, sticky,
+                                           context=context)
+
+    return _Level("sw-src-sticky" if sticky else "sw-src-transient", {},
+                  plan, "sw_injector", svf_modes.SourceInjector,
+                  lambda _plan: "src")
+
+
+_LEVELS = {
+    "uarch": _microarch_level,
+    "sw": _software_level,
+    "sw-ld": _software_level,
+    "src": _source_level,
+    "src-sticky": _source_level,
+}
+
+#: The injection levels ``run_campaign`` dispatches on. The ``uarch`` level
+#: additionally fans out over ``CampaignSpec.fault_model`` (transient /
+#: stuck0 / stuck1 / intermittent) and ``CampaignSpec.target``
+#: (storage / control).
+CAMPAIGN_LEVELS = tuple(_LEVELS)
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
-    harness_factory=None,
     profile: "AppProfile | None" = None,
     profile_supplier=None,
     max_failure_rate: float | None = None,
@@ -401,6 +537,10 @@ def run_campaign(
     telemetry_session: "TelemetrySession | None" = None,
 ) -> CampaignResult:
     """Run (or load from cache) the campaign a :class:`CampaignSpec` names.
+
+    Every level runs the same pipeline — cache key, cache lookup, golden
+    run, trials, result, cache store, ledger — and differs only in the
+    per-level descriptor that keys, plans, injects and labels its faults.
 
     ``profile_supplier`` is an optional zero-arg callable evaluated only on
     a cache miss (keeps cache-hit paths free of simulation work);
@@ -415,7 +555,7 @@ def run_campaign(
     ``<cache_dir>/telemetry/<cache key>.jsonl``. The caller owns a
     session it passed in; campaign-created sessions are closed here.
     """
-    if spec.level not in CAMPAIGN_LEVELS:
+    if spec.level not in _LEVELS:
         raise ConfigError(
             f"unknown campaign level {spec.level!r} "
             f"(known: {', '.join(CAMPAIGN_LEVELS)})")
@@ -423,15 +563,6 @@ def run_campaign(
     kernel = spec.kernel if spec.kernel is not None else app.kernel_names[0]
     config = _resolve_config(spec.config, spec.level)
     stop_rule = _resolve_stop_rule(spec)
-    runtime = dict(
-        trials=spec.trials, seed=spec.seed, use_cache=spec.use_cache,
-        profile=profile, profile_supplier=profile_supplier,
-        max_failure_rate=max_failure_rate, progress=progress,
-        workers=spec.workers, worker_progress=worker_progress,
-        sdc_anatomy=spec.sdc_anatomy,
-        telemetry=spec.telemetry, telemetry_session=telemetry_session,
-        stop_rule=stop_rule, budget=spec.budget,
-    )
     if spec.fault_model not in FAULT_MODELS:
         raise ConfigError(
             f"unknown fault model {spec.fault_model!r} "
@@ -440,65 +571,140 @@ def run_campaign(
         raise ConfigError(
             f"unknown fault target {spec.target!r} "
             f"(known: {', '.join(FAULT_TARGETS)})")
-    if spec.level != "uarch" and (spec.fault_model != "transient"
-                                  or spec.target != "storage"):
+    new_models = spec.fault_model != "transient" or spec.target != "storage"
+    if spec.level != "uarch" and new_models:
         raise ConfigError(
             "fault_model/target select microarchitecture-level fault "
             f"variants; the {spec.level!r} level has no notion of them")
+    level = _LEVELS[spec.level](spec)
+    harness_factory = None
     if spec.harden is not None:
-        if spec.level.startswith("src"):
-            raise ConfigError(
-                "source-level campaigns have no hardened variant")
-        if spec.hardened:
-            raise ConfigError(
-                "harden names a scheme from the hardening registry and "
-                "hardened is its legacy TMR shorthand; set one, not both")
-        if harness_factory is not None:
-            raise ConfigError(
-                "harden resolves the harness factory from the hardening "
-                "registry; drop the explicit harness_factory")
         from repro.hardening.registry import hardening_scheme  # local:
         # the default path must not import kernel/hardening modules.
 
         harness_factory = hardening_scheme(spec.harden)
-    if spec.level == "uarch":
-        if spec.target == "control":
-            if spec.structure is not None:
-                raise ConfigError(
-                    "control-target campaigns inject the parallelism-"
-                    "management state and pick their own sites; drop the "
-                    "structure")
-            if spec.ecc_protected:
-                raise ConfigError(
-                    "ECC protects storage arrays, not parallelism-"
-                    "management state; drop ecc_protected for "
-                    "target='control'")
-            structure = None
-        else:
-            if spec.structure is None:
-                raise ConfigError("uarch campaigns need a target structure")
-            structure = (Structure(spec.structure)
-                         if not isinstance(spec.structure, Structure)
-                         else spec.structure)
-        return _microarch_campaign(
-            app, kernel, structure, config,
-            harness_factory=harness_factory, hardened=spec.hardened,
+
+    trials_from_env = spec.trials is None and spec.budget is None
+    trials = spec.trials if spec.trials is not None else default_trials()
+    # An explicit budget caps the adaptive plan regardless of `trials`;
+    # the key's "trials" entry is always the planned count, so a
+    # budget-100 spec and a trials-100 spec with the same rule (which
+    # behave identically) share one cache entry.
+    planned = spec.budget if spec.budget is not None else trials
+    stop_payload = stop_rule.to_payload() if stop_rule is not None else None
+    key = _cache_key(
+        {
+            "v": CACHE_VERSION,
+            "kind": level.kind,
+            "app": app.name,
+            "app_seed": app.seed,
+            "kernel": kernel,
+            "config": config.name,
+            "trials": planned,
+            "seed": spec.seed,
+            **level.key_fields,
+            # Only present when on: off-path keys keep their legacy shape.
+            **({"sdc_anatomy": True} if spec.sdc_anatomy else {}),
+            **({"harden": spec.harden} if spec.harden else {}),
+            **({"fault_model": spec.fault_model}
+               if spec.fault_model != "transient" else {}),
+            **({"target": spec.target} if spec.target != "storage" else {}),
+            **({"stop_rule": stop_payload} if stop_rule is not None else {}),
+        }
+    )
+    if spec.use_cache:
+        cached = _cache_load(key)
+        if cached is not None:
+            if telemetry_session is not None:
+                telemetry_session.telemetry(key).emit(
+                    "cache", op="load", hit=True)
+            return CampaignResult.from_dict(cached)
+
+    tel, session, owns_session = _campaign_telemetry(
+        key, spec.telemetry, telemetry_session)
+    try:
+        if tel.enabled and spec.use_cache:
+            tel.emit("cache", op="load", hit=False)
+        if profile is None:
+            with tel.span("golden_run"):
+                profile = (profile_supplier() if profile_supplier is not None
+                           else profile_app(app, config, harness_factory))
+        if not profile.kernel_launches(kernel):
+            raise PlanningError(
+                f"{app.name} has no launches of kernel {kernel!r}")
+        launches = profile.kernel_launches(kernel, level.include_post)
+        structure = level.structure.value if level.structure else None
+        tag = seed_tag(level.kind, app.name, kernel, config.name,
+                       structure=structure, fault_model=spec.fault_model,
+                       target=spec.target, harden=spec.harden)
+        # Non-default axes join the journal's meta record (and the
+        # telemetry events); absent by default so legacy journals keep
+        # their exact shape.
+        model_tags = ({"fault_model": spec.fault_model,
+                       "target": spec.target} if new_models else None)
+        meta = {
+            "level": level.kind, "app": app.name, "kernel": kernel,
+            "tag": tag, "root_seed": spec.seed, "trials": planned,
+            "trials_from_env": trials_from_env,
+            "cache_version": CACHE_VERSION, **(model_tags or {}),
+            **({"harden": spec.harden} if spec.harden else {}),
+        }
+        context = f"{app.name}/{kernel}"
+        tally = execute_trials(
+            key=key,
+            seeds=spawn_seeds(spec.seed, tag, planned),
+            trial_fn=_injection_trial_fn(
+                app, profile, harness_factory,
+                lambda s: level.plan(launches, s, context), level,
+                sdc_anatomy=spec.sdc_anatomy),
+            gpu_factory=_gpu_factory(profile, config),
+            baseline_cycles=profile.total_cycles,
+            max_failure_rate=max_failure_rate,
+            progress=progress,
+            journal=spec.use_cache,
+            workers=spec.workers,
+            worker_progress=worker_progress,
+            meta=meta,
+            telemetry=tel,
+            event_tags=model_tags,
+            stop_rule=stop_rule,
+        )
+
+        derating = 1.0  # software-level FI needs no derating (paper II-C)
+        if level.structure is not None:
+            from repro.fi.avf import derating_factor  # local: import cycle
+
+            derating = derating_factor(level.structure, launches, config)
+        result = CampaignResult(
+            app_name=app.name,
+            kernel=kernel,
+            injector=level.kind,
+            structure=structure,
+            trials=(tally.counts.total if stop_rule is not None
+                    else trials),
+            seed=spec.seed,
+            config_name=config.name,
+            counts=tally.counts,
+            derating_factor=derating,
+            kernel_cycles=profile.kernel_cycles(kernel),
+            kernel_instructions=sum(l[level.count_field] for l in launches),
+            control_path_masked=tally.control_path_masked,
             harden=spec.harden,
-            num_bits=spec.num_bits, ecc_protected=spec.ecc_protected,
-            fault_model=spec.fault_model, target=spec.target,
-            **runtime)
-    if spec.level in ("sw", "sw-ld"):
-        return _software_campaign(
-            app, kernel, config, loads_only=spec.level == "sw-ld",
-            harness_factory=harness_factory, hardened=spec.hardened,
-            harden=spec.harden,
-            **runtime)
-    # src / src-sticky
-    if spec.hardened:
-        raise ConfigError("source-level campaigns have no hardened variant")
-    runtime.pop("profile_supplier")
-    return _source_campaign(
-        app, kernel, config, sticky=spec.level == "src-sticky", **runtime)
+            fault_model=spec.fault_model,
+            fault_target=spec.target,
+            sdc_anatomy=(_anatomy_aggregate(tally) if spec.sdc_anatomy
+                         else None),
+            planned_trials=planned if stop_rule is not None else None,
+            stop_rule=stop_payload,
+        )
+        if spec.use_cache:
+            with tel.span("cache.store"):
+                _cache_store(key, result.to_dict())
+        _record_to_ledger(key, result, session)
+        return result
+    finally:
+        if owns_session:
+            session.close()
 
 
 def _resolve_stop_rule(spec: CampaignSpec) -> "StopRule | None":
@@ -668,13 +874,12 @@ def _kernel_rollup(gpu: GPU) -> dict[str, dict[str, int]]:
 
 
 def _injection_trial_fn(app, profile, harness_factory, plan_fn,
-                        injector_attr, injector_cls,
-                        sdc_anatomy=False, site_fn=None):
+                        level: "_Level", sdc_anatomy=False):
     """The one trial body all campaign levels share: plan a fault for the
-    trial seed, arm the injector, run the app, classify.
+    trial seed, arm the level's injector, run the app, classify.
 
-    ``plan_fn(trial_seed)`` produces the fault plan; ``injector_attr`` is
-    the GPU hook the plan's injector arms (``uarch_injector`` or
+    ``plan_fn(trial_seed)`` produces the fault plan; ``level`` names the
+    injector class and the GPU hook it arms (``uarch_injector`` or
     ``sw_injector``). Telemetry (when the runner installed an emitter for
     this process) gets ``inject.plan`` / ``classify`` phase spans and a
     per-trial per-kernel LaunchStats rollup; the disabled path adds
@@ -682,12 +887,14 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
 
     With ``sdc_anatomy`` on, SDC trials return a third element — the
     anatomy record of :func:`repro.sdc.analyze_sdc`, tagged with
-    ``site_fn(plan)`` (the injected structure / instruction class) — which
-    the runner journals and tallies. With it off, trials return the legacy
+    ``level.site(plan)`` (the injected structure / instruction class) —
+    which the runner journals and tallies. With it off, trials return the legacy
     two-tuple, keeping journals byte-identical."""
     if sdc_anatomy:
         from repro.sdc import analyze_sdc  # deferred: fi never needs it
                                            # unless a spec opts in
+
+    injector_attr, injector_cls = level.injector_attr, level.injector_cls
 
     def trial_fn(gpu: GPU, trial_seed: int):
         tel = current_telemetry()
@@ -716,9 +923,8 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
                 return outcome, cycles
             if outcome is not FaultOutcome.SDC:
                 return outcome, cycles, None
-            site = site_fn(plan) if site_fn is not None else ""
             return outcome, cycles, analyze_sdc(
-                app.name, outputs, profile.golden, site)
+                app.name, outputs, profile.golden, level.site(plan))
         finally:
             setattr(gpu, injector_attr, None)
 
@@ -732,23 +938,6 @@ def _anatomy_aggregate(tally) -> dict:
     critical = sum(1 for r in records if r.get("severity") == "critical")
     return {"tolerable": len(records) - critical, "critical": critical,
             "records": records}
-
-
-def _journal_meta(level: str, app, kernel: str, tag: str, seed: int,
-                  trials: int, trials_from_env: bool,
-                  extra: dict | None = None) -> dict:
-    """Campaign identity written to the journal's leading ``meta`` record,
-    so ``campaign status`` can tell resumable journals from stale ones.
-    ``extra`` carries non-default identity axes (fault model/target) —
-    absent by default so legacy journals keep their exact shape."""
-    meta = {
-        "level": level, "app": app.name, "kernel": kernel, "tag": tag,
-        "root_seed": seed, "trials": trials,
-        "trials_from_env": trials_from_env, "cache_version": CACHE_VERSION,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _campaign_telemetry(key: str, telemetry: bool | None,
@@ -798,358 +987,3 @@ def _record_to_ledger(key: str, result: CampaignResult,
                                   events_path=events_path)
     except Exception as exc:
         log.warning("run ledger record failed for campaign %s: %s", key, exc)
-
-
-def _microarch_campaign(
-    app, kernel, structure, config, *, trials, seed, harness_factory,
-    hardened, harden, use_cache, profile, profile_supplier, num_bits,
-    ecc_protected, fault_model, target, max_failure_rate, progress, workers,
-    worker_progress, sdc_anatomy, telemetry, telemetry_session,
-    stop_rule, budget,
-) -> CampaignResult:
-    from repro.fi.avf import derating_factor  # local: avoid import cycle
-
-    trials_from_env = trials is None and budget is None
-    trials = trials if trials is not None else default_trials()
-    # An explicit budget caps the adaptive plan regardless of `trials`;
-    # the key's "trials" entry is always the planned count, so a
-    # budget-100 spec and a trials-100 spec with the same rule (which
-    # behave identically) share one cache entry.
-    planned = budget if budget is not None else trials
-    # Control-target campaigns have no storage structure; "control" stands
-    # in wherever a structure name keys or labels things.
-    structure_name = structure.value if structure is not None else "control"
-    new_models = fault_model != "transient" or target != "storage"
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": "uarch",
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "structure": structure_name,
-            "config": config.name,
-            "trials": planned,
-            "seed": seed,
-            "hardened": hardened,
-            "num_bits": num_bits,
-            "ecc": ecc_protected,
-            # Only present when on: off-path keys keep their legacy shape.
-            **({"sdc_anatomy": True} if sdc_anatomy else {}),
-            **({"harden": harden} if harden else {}),
-            **({"fault_model": fault_model}
-               if fault_model != "transient" else {}),
-            **({"target": target} if target != "storage" else {}),
-            **({"stop_rule": stop_rule.to_payload()}
-               if stop_rule is not None else {}),
-        }
-    )
-    if use_cache:
-        cached = _cache_load(key)
-        if cached is not None:
-            if telemetry_session is not None:
-                telemetry_session.telemetry(key).emit(
-                    "cache", op="load", hit=True)
-            return CampaignResult.from_dict(cached)
-
-    tel, session, owns_session = _campaign_telemetry(
-        key, telemetry, telemetry_session)
-    try:
-        if tel.enabled and use_cache:
-            tel.emit("cache", op="load", hit=False)
-        if profile is None:
-            with tel.span("golden_run"):
-                profile = (profile_supplier() if profile_supplier is not None
-                           else profile_app(app, config, harness_factory))
-        launches = profile.kernel_launches(kernel)
-        if not launches:
-            raise PlanningError(
-                f"{app.name} has no launches of kernel {kernel!r}")
-
-        tag = (f"{app.name}/{kernel}/uarch/{structure_name}"
-               f"/{config.name}/{hardened}")
-        if new_models:
-            # Non-default axes get their own seed stream and journal/
-            # telemetry identity; the legacy tag (and thus the trial seeds)
-            # is untouched when the new models are off.
-            tag += f"/{fault_model}/{target}"
-        if harden:
-            tag += f"/{harden}"
-        model_tags = ({"fault_model": fault_model, "target": target}
-                      if new_models else None)
-        meta_extra = dict(model_tags or {})
-        if harden:
-            meta_extra["harden"] = harden
-        context = f"{app.name}/{kernel}"
-        tally = execute_trials(
-            key=key,
-            seeds=spawn_seeds(seed, tag, planned),
-            trial_fn=_injection_trial_fn(
-                app, profile, harness_factory,
-                lambda s: plan_microarch_fault(launches, structure, s,
-                                               num_bits, ecc_protected,
-                                               fault_model, target,
-                                               context=context),
-                "uarch_injector", MicroarchInjector,
-                sdc_anatomy=sdc_anatomy,
-                site_fn=lambda plan: structure_name),
-            gpu_factory=_gpu_factory(profile, config),
-            baseline_cycles=profile.total_cycles,
-            max_failure_rate=max_failure_rate,
-            progress=progress,
-            journal=use_cache,
-            workers=workers,
-            worker_progress=worker_progress,
-            meta=_journal_meta("uarch", app, kernel, tag, seed, planned,
-                               trials_from_env, extra=meta_extra or None),
-            telemetry=tel,
-            event_tags=model_tags,
-            stop_rule=stop_rule,
-        )
-
-        result = CampaignResult(
-            app_name=app.name,
-            kernel=kernel,
-            injector="uarch",
-            structure=structure.value if structure is not None else None,
-            trials=(tally.counts.total if stop_rule is not None
-                    else trials),
-            seed=seed,
-            config_name=config.name,
-            counts=tally.counts,
-            derating_factor=(derating_factor(structure, launches, config)
-                             if structure is not None else 1.0),
-            kernel_cycles=profile.kernel_cycles(kernel),
-            kernel_instructions=profile.kernel_instructions(kernel),
-            control_path_masked=tally.control_path_masked,
-            hardened=hardened,
-            harden=harden,
-            fault_model=fault_model,
-            fault_target=target,
-            sdc_anatomy=_anatomy_aggregate(tally) if sdc_anatomy else None,
-            planned_trials=planned if stop_rule is not None else None,
-            stop_rule=(stop_rule.to_payload() if stop_rule is not None
-                       else None),
-        )
-        if use_cache:
-            with tel.span("cache.store"):
-                _cache_store(key, result.to_dict())
-        _record_to_ledger(key, result, session)
-        return result
-    finally:
-        if owns_session:
-            session.close()
-
-
-def _software_campaign(
-    app, kernel, config, *, trials, seed, loads_only, harness_factory,
-    hardened, harden, use_cache, profile, profile_supplier,
-    max_failure_rate, progress, workers, worker_progress, sdc_anatomy,
-    telemetry, telemetry_session, stop_rule, budget,
-) -> CampaignResult:
-    trials_from_env = trials is None and budget is None
-    trials = trials if trials is not None else default_trials()
-    planned = budget if budget is not None else trials
-    injector_kind = "sw-ld" if loads_only else "sw"
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": injector_kind,
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "config": config.name,
-            "trials": planned,
-            "seed": seed,
-            "hardened": hardened,
-            **({"sdc_anatomy": True} if sdc_anatomy else {}),
-            **({"harden": harden} if harden else {}),
-            **({"stop_rule": stop_rule.to_payload()}
-               if stop_rule is not None else {}),
-        }
-    )
-    if use_cache:
-        cached = _cache_load(key)
-        if cached is not None:
-            if telemetry_session is not None:
-                telemetry_session.telemetry(key).emit(
-                    "cache", op="load", hit=True)
-            return CampaignResult.from_dict(cached)
-
-    tel, session, owns_session = _campaign_telemetry(
-        key, telemetry, telemetry_session)
-    try:
-        if tel.enabled and use_cache:
-            tel.emit("cache", op="load", hit=False)
-        if profile is None:
-            with tel.span("golden_run"):
-                profile = (profile_supplier() if profile_supplier is not None
-                           else profile_app(app, config, harness_factory))
-        launches = profile.kernel_launches(kernel)
-        if not launches:
-            raise PlanningError(
-                f"{app.name} has no launches of kernel {kernel!r}")
-
-        sw_launches = profile.kernel_launches(kernel, include_post=False)
-        context = f"{app.name}/{kernel}"
-        tag = f"{app.name}/{kernel}/{injector_kind}/{config.name}/{hardened}"
-        if harden:
-            tag += f"/{harden}"
-        tally = execute_trials(
-            key=key,
-            seeds=spawn_seeds(seed, tag, planned),
-            trial_fn=_injection_trial_fn(
-                app, profile, harness_factory,
-                lambda s: plan_software_fault(sw_launches, s, loads_only,
-                                              context=context),
-                "sw_injector", SoftwareInjector,
-                sdc_anatomy=sdc_anatomy,
-                site_fn=lambda plan: plan.injected_class or injector_kind),
-            gpu_factory=_gpu_factory(profile, config),
-            baseline_cycles=profile.total_cycles,
-            max_failure_rate=max_failure_rate,
-            progress=progress,
-            journal=use_cache,
-            workers=workers,
-            worker_progress=worker_progress,
-            meta=_journal_meta(injector_kind, app, kernel, tag, seed,
-                               planned, trials_from_env,
-                               extra={"harden": harden} if harden else None),
-            telemetry=tel,
-            stop_rule=stop_rule,
-        )
-
-        result = CampaignResult(
-            app_name=app.name,
-            kernel=kernel,
-            injector=injector_kind,
-            structure=None,
-            trials=(tally.counts.total if stop_rule is not None
-                    else trials),
-            seed=seed,
-            config_name=config.name,
-            counts=tally.counts,
-            derating_factor=1.0,  # software-level FI needs no derating (paper II-C)
-            kernel_cycles=profile.kernel_cycles(kernel),
-            kernel_instructions=sum(
-                l["injectable_loads" if loads_only else "injectable"]
-                for l in sw_launches
-            ),
-            control_path_masked=tally.control_path_masked,
-            hardened=hardened,
-            harden=harden,
-            sdc_anatomy=_anatomy_aggregate(tally) if sdc_anatomy else None,
-            planned_trials=planned if stop_rule is not None else None,
-            stop_rule=(stop_rule.to_payload() if stop_rule is not None
-                       else None),
-        )
-        if use_cache:
-            with tel.span("cache.store"):
-                _cache_store(key, result.to_dict())
-        _record_to_ledger(key, result, session)
-        return result
-    finally:
-        if owns_session:
-            session.close()
-
-
-def _source_campaign(
-    app, kernel, config, *, trials, seed, sticky, use_cache, profile,
-    max_failure_rate, progress, workers, worker_progress, sdc_anatomy,
-    telemetry, telemetry_session, stop_rule, budget,
-) -> CampaignResult:
-    from repro.fi.svf_modes import SourceInjector, plan_source_fault
-
-    trials_from_env = trials is None and budget is None
-    trials = trials if trials is not None else default_trials()
-    planned = budget if budget is not None else trials
-    injector_kind = "sw-src-sticky" if sticky else "sw-src-transient"
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": injector_kind,
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "config": config.name,
-            "trials": planned,
-            "seed": seed,
-            **({"sdc_anatomy": True} if sdc_anatomy else {}),
-            **({"stop_rule": stop_rule.to_payload()}
-               if stop_rule is not None else {}),
-        }
-    )
-    if use_cache:
-        cached = _cache_load(key)
-        if cached is not None:
-            if telemetry_session is not None:
-                telemetry_session.telemetry(key).emit(
-                    "cache", op="load", hit=True)
-            return CampaignResult.from_dict(cached)
-
-    tel, session, owns_session = _campaign_telemetry(
-        key, telemetry, telemetry_session)
-    try:
-        if tel.enabled and use_cache:
-            tel.emit("cache", op="load", hit=False)
-        if profile is None:
-            with tel.span("golden_run"):
-                profile = profile_app(app, config)
-        launches = profile.kernel_launches(kernel)
-        if not launches:
-            raise PlanningError(
-                f"{app.name} has no launches of kernel {kernel!r}")
-
-        context = f"{app.name}/{kernel}"
-        tag = f"{app.name}/{kernel}/{injector_kind}/{config.name}"
-        tally = execute_trials(
-            key=key,
-            seeds=spawn_seeds(seed, tag, planned),
-            trial_fn=_injection_trial_fn(
-                app, profile, None,
-                lambda s: plan_source_fault(launches, s, sticky,
-                                            context=context),
-                "sw_injector", SourceInjector,
-                sdc_anatomy=sdc_anatomy,
-                site_fn=lambda plan: "src"),
-            gpu_factory=_gpu_factory(profile, config),
-            baseline_cycles=profile.total_cycles,
-            max_failure_rate=max_failure_rate,
-            progress=progress,
-            journal=use_cache,
-            workers=workers,
-            worker_progress=worker_progress,
-            meta=_journal_meta(injector_kind, app, kernel, tag, seed,
-                               planned, trials_from_env),
-            telemetry=tel,
-            stop_rule=stop_rule,
-        )
-
-        result = CampaignResult(
-            app_name=app.name,
-            kernel=kernel,
-            injector=injector_kind,
-            structure=None,
-            trials=(tally.counts.total if stop_rule is not None
-                    else trials),
-            seed=seed,
-            config_name=config.name,
-            counts=tally.counts,
-            derating_factor=1.0,
-            kernel_cycles=profile.kernel_cycles(kernel),
-            kernel_instructions=profile.kernel_instructions(kernel),
-            control_path_masked=tally.control_path_masked,
-            hardened=False,
-            sdc_anatomy=_anatomy_aggregate(tally) if sdc_anatomy else None,
-            planned_trials=planned if stop_rule is not None else None,
-            stop_rule=(stop_rule.to_payload() if stop_rule is not None
-                       else None),
-        )
-        if use_cache:
-            with tel.span("cache.store"):
-                _cache_store(key, result.to_dict())
-        _record_to_ledger(key, result, session)
-        return result
-    finally:
-        if owns_session:
-            session.close()

@@ -22,18 +22,20 @@ fast* rather than about *which fault to inject*:
   uninterrupted run. Completed campaigns delete their journal (the result
   lives in the regular cache).
 
-* **Parallel execution** — ``workers > 1`` fans the remaining trials out
-  over a pool of forked worker processes (``REPRO_WORKERS``, ``auto`` =
-  ``os.cpu_count() - 1``). The parent submits trial indices to the pool
-  in *rounds* (each round strided across the workers in the same
-  deterministic order as the historical static shards) and drains results
-  as they arrive; it stays the **single writer** of the journal and
-  commits results strictly in trial order, buffering out-of-order
-  arrivals. A fixed-budget campaign submits everything in one round, so
-  serial and parallel runs produce bit-identical journals, tallies, and
-  cache payloads, and kill/resume works the same regardless of completion
-  order. Platforms without the ``fork`` start method fall back to serial
-  execution with a warning.
+* **One scheduler, one committer** — every campaign runs the same
+  trial-attempt body and hands its results to one in-order committer,
+  the **single writer** of the journal, tally and events, which commits
+  strictly in trial order and buffers out-of-order arrivals. With one
+  worker the trials run in-process (no queues, no pickling); ``workers >
+  1`` fans them out over a pool of forked worker processes
+  (``REPRO_WORKERS``, ``auto`` = ``os.cpu_count() - 1``) that the parent
+  feeds trial indices in *rounds* (each round strided across the workers
+  in the same deterministic order as the historical static shards). A
+  fixed-budget campaign submits everything in one round, so serial and
+  parallel runs produce bit-identical journals, tallies, and cache
+  payloads, and kill/resume works the same regardless of completion
+  order. Platforms without the ``fork`` start method fall back to
+  in-process execution with a warning.
 
 * **Adaptive early stopping** — an optional ``stop_rule`` (duck-typed;
   see :class:`repro.fi.planner.StopRule`) is evaluated against the
@@ -224,34 +226,56 @@ def _unpack_trial(result) -> "tuple[FaultOutcome, int, dict | None]":
 
 
 def _attempt_trial(trial_fn: TrialFn, gpu, gpu_factory, trial_index: int,
-                   trial_seed: int, on_crash):
+                   trial_seed: int, crashes: list[dict]):
     """One trial with the isolation contract: unexpected exceptions get one
-    retry on a fresh GPU, a second failure becomes CRASH. Returns
-    ``(outcome, cycles, extra, gpu)`` — the GPU is replaced after any
-    failure, since the blown-up trial may have corrupted its state."""
-    try:
-        outcome, cycles, extra = _unpack_trial(trial_fn(gpu, trial_seed))
-        return outcome, cycles, extra, gpu
-    except ExecutionError:
-        # SimTimeout/ExecutionError are fault effects the classifier
-        # already maps to Timeout/DUE; one escaping the trial is a
-        # harness bug the campaign must not paper over.
-        raise
-    except Exception as exc:
-        log.warning("trial %d (seed %d) raised %r; retrying on a fresh GPU",
-                    trial_index, trial_seed, exc)
-        on_crash(exc, traceback.format_exc(), False)
-        gpu = gpu_factory()
+    retry on a fresh GPU, a second failure becomes CRASH. Each failed
+    attempt appends a crash record to ``crashes``. Returns ``(outcome,
+    cycles, extra, gpu)`` — the GPU is replaced after any failure, since
+    the blown-up trial may have corrupted its state."""
+    for retry in (False, True):
         try:
             outcome, cycles, extra = _unpack_trial(trial_fn(gpu, trial_seed))
             return outcome, cycles, extra, gpu
         except ExecutionError:
+            # SimTimeout/ExecutionError are fault effects the classifier
+            # already maps to Timeout/DUE; one escaping the trial is a
+            # harness bug the campaign must not paper over.
             raise
-        except Exception as exc2:
-            log.error("trial %d (seed %d) raised %r again on retry; "
-                      "tallying as CRASH", trial_index, trial_seed, exc2)
-            on_crash(exc2, traceback.format_exc(), True)
-            return FaultOutcome.CRASH, 0, None, gpu_factory()
+        except Exception as exc:
+            if retry:
+                log.error("trial %d (seed %d) raised %r again on retry; "
+                          "tallying as CRASH", trial_index, trial_seed, exc)
+            else:
+                log.warning("trial %d (seed %d) raised %r; retrying on a "
+                            "fresh GPU", trial_index, trial_seed, exc)
+            crashes.append(_crash_record(trial_index, trial_seed, exc,
+                                         traceback.format_exc(), retry))
+            gpu = gpu_factory()
+    return FaultOutcome.CRASH, 0, None, gpu
+
+
+def _run_trials(indices, seeds: list[int], trial_fn: TrialFn, gpu_factory,
+                tel: Telemetry):
+    """The trial-attempt body of every executor: build a GPU, then run
+    each index of ``indices`` (consumed lazily) under the isolation
+    contract, yielding ``(index, outcome, cycles, extra, crashes)`` as
+    each trial finishes. The GPU persists across trials (each trial
+    resets it) and is replaced after a failure."""
+    if tel.enabled:
+        with tel.span("sim.setup"):
+            gpu = gpu_factory()
+    else:
+        gpu = gpu_factory()
+    for i in indices:
+        crashes: list[dict] = []
+        if tel.enabled:
+            with tel.span("trial", trial=i):
+                outcome, cycles, extra, gpu = _attempt_trial(
+                    trial_fn, gpu, gpu_factory, i, seeds[i], crashes)
+        else:
+            outcome, cycles, extra, gpu = _attempt_trial(
+                trial_fn, gpu, gpu_factory, i, seeds[i], crashes)
+        yield i, outcome, cycles, extra, crashes
 
 
 def _threshold_error(key: str, crash: int, total: int,
@@ -372,29 +396,18 @@ def execute_trials(
         tel.emit("campaign", phase="begin", key=key, total=total,
                  resumed=done, workers=workers, **(event_tags or {}))
 
-    if workers > 1 and remaining > 1:
-        if "fork" in multiprocessing.get_all_start_methods():
-            tally.workers = min(workers, remaining)
-            _execute_parallel(
-                key=key, seeds=seeds, trial_fn=trial_fn,
-                gpu_factory=gpu_factory, baseline_cycles=baseline_cycles,
-                threshold=threshold, progress=progress,
-                worker_progress=worker_progress, jr=jr, tally=tally,
-                done=done, total=total, workers=tally.workers, tel=tel,
-                event_tags=event_tags, stop_rule=stop_rule)
-            if jr is not None:
-                jr.discard()
-            _emit_end(tel, key, tally, stop_rule)
-            return tally
+    if workers > 1 and remaining > 1 and (
+            "fork" not in multiprocessing.get_all_start_methods()):
         log.warning("REPRO_WORKERS=%d requested but the 'fork' start method "
                     "is unavailable on this platform; running serially",
                     workers)
-
-    _execute_serial(
-        key=key, seeds=seeds, trial_fn=trial_fn, gpu_factory=gpu_factory,
-        baseline_cycles=baseline_cycles, threshold=threshold,
-        progress=progress, jr=jr, tally=tally, done=done, total=total,
-        tel=tel, event_tags=event_tags, stop_rule=stop_rule)
+        workers = 1
+    tally.workers = min(workers, remaining)
+    committer = _Committer(key, seeds, jr, tally, baseline_cycles,
+                           threshold, progress, tel, event_tags, stop_rule,
+                           next_index=done)
+    _execute(committer, trial_fn=trial_fn, gpu_factory=gpu_factory,
+             worker_progress=worker_progress)
     if jr is not None:
         jr.discard()
     _emit_end(tel, key, tally, stop_rule)
@@ -411,69 +424,86 @@ def _emit_end(tel: Telemetry, key: str, tally: TrialTally,
              committed=tally.counts.total, **extra)
 
 
-# --------------------------------------------------------------- serial path
+# ------------------------------------------------------------ in-order commit
 
-def _execute_serial(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
-                    threshold, progress, jr, tally, done, total,
-                    tel=NULL, event_tags=None, stop_rule=None) -> None:
-    prev_tel = set_current_telemetry(tel)
-    try:
-        if tel.enabled:
-            with tel.span("sim.setup"):
-                gpu = gpu_factory()
-        else:
-            gpu = gpu_factory()
-        for i in range(done, total):
-            trial_seed = seeds[i]
+@dataclass
+class _Committer:
+    """The single writer of a campaign's journal, tally and events.
 
-            def on_crash(exc, tb, retry, _i=i, _seed=trial_seed):
-                tally.crash_events += 1
-                if jr is not None:
-                    jr.append(_crash_record(_i, _seed, exc, tb, retry))
+    Trial results may be offered in any order; they are journaled,
+    tallied and reported strictly in trial order, so every executor
+    writes the same journal bytes. Per trial, the attempt's crash records
+    go first (:meth:`CampaignJournal.append_many`, a no-op when there are
+    none), then the trial record (:meth:`CampaignJournal.append`).
+    """
 
-            if tel.enabled:
-                with tel.span("trial", trial=i):
-                    outcome, cycles, extra, gpu = _attempt_trial(
-                        trial_fn, gpu, gpu_factory, i, trial_seed, on_crash)
-            else:
-                outcome, cycles, extra, gpu = _attempt_trial(
-                    trial_fn, gpu, gpu_factory, i, trial_seed, on_crash)
+    key: str
+    seeds: list[int]
+    jr: CampaignJournal | None
+    tally: TrialTally
+    baseline_cycles: int
+    threshold: float
+    progress: ProgressFn | None
+    tel: Telemetry
+    event_tags: dict | None
+    stop_rule: object
+    next_index: int  # first uncommitted trial
+    pending: dict[int, tuple] = field(default_factory=dict)  # early arrivals
 
-            tally._record(outcome, cycles, baseline_cycles)
+    @property
+    def total(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def finished(self) -> bool:
+        return self.next_index >= self.total or self.tally.stopped_early
+
+    def offer(self, i: int, outcome: FaultOutcome, cycles: int, extra,
+              crashes: list[dict]) -> None:
+        """Accept trial ``i``'s result and commit every trial that is now
+        next in order (until the stop rule fires)."""
+        self.pending[i] = (outcome, cycles, extra, crashes)
+        while self.next_index in self.pending and not self.tally.stopped_early:
+            self._commit(self.next_index,
+                         *self.pending.pop(self.next_index))
+
+    def _commit(self, i, outcome, cycles, extra, crashes) -> None:
+        tally, jr, tel, total = self.tally, self.jr, self.tel, self.total
+        tally.crash_events += len(crashes)
+        if jr is not None:
+            record = {"event": "trial", "trial": i, "seed": self.seeds[i],
+                      "outcome": outcome.value, "cycles": cycles}
             if extra is not None:
-                tally.sdc_records.append({"trial": i, **extra})
-            if jr is not None:
-                record = {"event": "trial", "trial": i, "seed": trial_seed,
-                          "outcome": outcome.value, "cycles": cycles}
-                if extra is not None:
-                    record["sdc"] = extra
-                if tel.enabled:
-                    with tel.span("journal.commit", trial=i):
-                        jr.append(record)
-                else:
-                    jr.append(record)
+                record["sdc"] = extra
             if tel.enabled:
-                event_fields = dict(event_tags or {})
-                if extra is not None:
-                    event_fields["severity"] = extra.get("severity")
-                tel.emit("commit", trial=i, outcome=outcome.value,
-                         cycles=cycles, **event_fields)
-            if progress is not None:
-                progress(i + 1, total, outcome)
+                with tel.span("journal.commit", trial=i):
+                    jr.append_many(crashes)
+                    jr.append(record)
+            else:
+                jr.append_many(crashes)
+                jr.append(record)
+        tally._record(outcome, cycles, self.baseline_cycles)
+        if extra is not None:
+            tally.sdc_records.append({"trial": i, **extra})
+        if tel.enabled:
+            event_fields = dict(self.event_tags or {})
+            if extra is not None:
+                event_fields["severity"] = extra.get("severity")
+            tel.emit("commit", trial=i, outcome=outcome.value,
+                     cycles=cycles, **event_fields)
+        self.next_index = i + 1
+        if self.progress is not None:
+            self.progress(i + 1, total, outcome)
+        if tally.counts.crash / total > self.threshold:
+            raise _threshold_error(self.key, tally.counts.crash, total,
+                                   self.threshold)
+        if _stop_satisfied(self.stop_rule, tally):
+            tally.stopped_early = True
+            log.info("campaign %s: stop rule satisfied after %d/%d trials",
+                     self.key, i + 1, total)
 
-            if tally.counts.crash / total > threshold:
-                raise _threshold_error(key, tally.counts.crash, total,
-                                       threshold)
-            if _stop_satisfied(stop_rule, tally):
-                tally.stopped_early = True
-                log.info("campaign %s: stop rule satisfied after %d/%d "
-                         "trials", key, i + 1, total)
-                break
-    finally:
-        set_current_telemetry(prev_tel)
 
-
-# ------------------------------------------------------------- parallel path
+# ------------------------------------------------------------------ scheduler
 
 def _shippable(exc: BaseException):
     """The exception itself if it survives a pickle round-trip (so the
@@ -485,21 +515,26 @@ def _shippable(exc: BaseException):
         return None
 
 
+def _task_indices(task_q):
+    """The trial indices a worker is assigned, one scheduling round (a
+    list) at a time, until the parent's ``None`` sentinel."""
+    while (indices := task_q.get()) is not None:
+        yield from indices
+
+
 def _worker_main(worker_id: int, task_q, seeds: list[int],
                  trial_fn: TrialFn, gpu_factory, out_q,
                  tel_args: "tuple[str, float] | None" = None) -> None:
     """Worker-process body (reached via fork: closures need no pickling).
 
-    Blocks on its private ``task_q`` for lists of trial indices (one list
-    per scheduling round), runs them with the same isolation/retry
-    contract as the serial path, and streams
-    ``("trial", worker_id, index, outcome, cycles, extra, crash_records)``
-    messages to the parent, which owns all journal writes. The worker's
-    GPU state persists across rounds exactly as it persists across trials
-    (each trial resets it). Any exception that must abort the campaign
-    (an escaped :class:`ExecutionError`, KeyboardInterrupt, ...) is
-    shipped as a ``("fatal", ...)`` message for the parent to re-raise;
-    otherwise the worker runs until the parent terminates the pool.
+    Runs the shared trial-attempt body (:func:`_run_trials`) over the
+    indices its private ``task_q`` assigns, and streams
+    ``("trial", worker_id, index, outcome, cycles, extra, crashes)``
+    messages to the parent, which owns all journal writes. Any exception
+    that must abort the campaign (an escaped :class:`ExecutionError`,
+    KeyboardInterrupt, ...) is shipped as a ``("fatal", ...)`` message for
+    the parent to re-raise; otherwise the worker runs until the parent
+    terminates the pool.
 
     ``tel_args`` (``(campaign, t0)``, or None for telemetry off) wires a
     buffered event emitter: events accumulate locally and are flushed as
@@ -517,35 +552,13 @@ def _worker_main(worker_id: int, task_q, seeds: list[int],
         tel = NULL
     set_current_telemetry(tel)
     try:
-        if tel.enabled:
-            with tel.span("sim.setup"):
-                gpu = gpu_factory()
-        else:
-            gpu = gpu_factory()
-        while True:
-            indices = task_q.get()
-            if indices is None:
-                return
-            for i in indices:
-                crash_records: list[dict] = []
-
-                def on_crash(exc, tb, retry, _i=i):
-                    crash_records.append(
-                        _crash_record(_i, seeds[_i], exc, tb, retry))
-
-                if tel.enabled:
-                    with tel.span("trial", trial=i):
-                        outcome, cycles, extra, gpu = _attempt_trial(
-                            trial_fn, gpu, gpu_factory, i, seeds[i],
-                            on_crash)
-                else:
-                    outcome, cycles, extra, gpu = _attempt_trial(
-                        trial_fn, gpu, gpu_factory, i, seeds[i], on_crash)
-                if buffer:
-                    out_q.put(("events", worker_id, buffer[:]))
-                    buffer.clear()
-                out_q.put(("trial", worker_id, i, outcome.value,
-                           int(cycles), extra, crash_records))
+        for i, outcome, cycles, extra, crashes in _run_trials(
+                _task_indices(task_q), seeds, trial_fn, gpu_factory, tel):
+            if buffer:
+                out_q.put(("events", worker_id, buffer[:]))
+                buffer.clear()
+            out_q.put(("trial", worker_id, i, outcome.value, int(cycles),
+                       extra, crashes))
     except BaseException as exc:  # noqa: BLE001 — shipped to the parent
         out_q.put(("fatal", worker_id, _shippable(exc), repr(exc),
                    traceback.format_exc()))
@@ -558,20 +571,20 @@ def _round_chunk(stop_rule, workers: int) -> int:
     return chunk if chunk else max(2 * workers, 8)
 
 
-def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
-                      threshold, progress, worker_progress, jr, tally,
-                      done, total, workers, tel=NULL,
-                      event_tags=None, stop_rule=None) -> None:
-    """Submit trials to a persistent forked pool in rounds; commit in order.
+def _execute(committer: _Committer, *, trial_fn, gpu_factory,
+             worker_progress) -> None:
+    """Run the uncommitted trials, feeding every result to ``committer``.
 
-    Each round covers a contiguous index range strided across the workers
-    (worker ``w`` gets indices ``start+w, start+w+workers, ...``) — for a
-    fixed-budget campaign there is exactly one round covering everything,
-    which reproduces the historical static shards index for index. The
-    parent buffers out-of-order results in ``pending`` and journals /
-    tallies / reports them strictly by trial index, so the journal is
-    byte-compatible with a serial run's and kill/resume semantics are
-    unchanged.
+    With one worker the trials run in this process, in order, with no
+    queues and no pickling. Otherwise they go to a persistent forked pool
+    in rounds: each round covers a contiguous index range strided across
+    the workers (worker ``w`` gets indices ``start+w, start+w+workers,
+    ...``) — for a fixed-budget campaign there is exactly one round
+    covering everything, which reproduces the historical static shards
+    index for index. Results reach the committer as they arrive; it
+    buffers out-of-order ones and commits strictly by trial index, so the
+    journal is byte-identical to an in-process run's and kill/resume
+    semantics are unchanged.
 
     With a ``stop_rule`` the rounds are bounded chunks: the first reaches
     the rule's ``min_trials`` floor, later ones keep roughly two chunks in
@@ -581,6 +594,24 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
     journaled, so the committed prefix (and hence the tally) is identical
     at any worker count.
     """
+    if committer.tally.workers == 1:
+        prev_tel = set_current_telemetry(committer.tel)
+        try:
+            for result in _run_trials(
+                    range(committer.next_index, committer.total),
+                    committer.seeds, trial_fn, gpu_factory, committer.tel):
+                committer.offer(*result)
+                if committer.finished:
+                    break
+        finally:
+            set_current_telemetry(prev_tel)
+        return
+
+    key, seeds, tally, tel = (committer.key, committer.seeds,
+                              committer.tally, committer.tel)
+    stop_rule, total, workers = (committer.stop_rule, committer.total,
+                                 tally.workers)
+    done = committer.next_index
     ctx = multiprocessing.get_context("fork")
     result_q = ctx.Queue()
     tel_args = (tel.campaign, tel.t0) if tel.enabled else None
@@ -622,12 +653,10 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
     log.info("campaign %s: running up to %d remaining trials on %d workers",
              key, total - done, workers)
 
-    pending: dict[int, tuple[str, int, list[dict]]] = {}
     per_worker: dict[int, int] = {w: 0 for w, _ in procs}
     running = {w for w, _ in procs}
-    next_index = done
     try:
-        while next_index < total and not tally.stopped_early:
+        while not committer.finished:
             try:
                 msg = result_q.get(timeout=0.5)
             except queue_mod.Empty:
@@ -638,8 +667,8 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
                         f"campaign {key}: worker(s) "
                         f"{', '.join(map(str, dead))} died without reporting "
                         f"a result (killed?); the journal retains "
-                        f"{next_index}/{total} completed trials — re-run to "
-                        f"resume")
+                        f"{committer.next_index}/{total} completed trials — "
+                        f"re-run to resume")
                 continue
             kind = msg[0]
             if kind == "events":
@@ -653,57 +682,18 @@ def _execute_parallel(*, key, seeds, trial_fn, gpu_factory, baseline_cycles,
                 raise CampaignError(
                     f"campaign {key}: worker {worker_id} failed with an "
                     f"unpicklable error {text}; worker traceback:\n{tb}")
-            _, worker_id, i, outcome_value, cycles, extra, crash_records = msg
-            pending[i] = (outcome_value, cycles, extra, crash_records)
+            _, worker_id, i, outcome_value, cycles, extra, crashes = msg
             per_worker[worker_id] += 1
             if worker_progress is not None:
                 worker_progress(worker_id, per_worker[worker_id])
-
-            while next_index in pending:
-                outcome_value, cycles, extra, crash_records = pending.pop(
-                    next_index)
-                outcome = FaultOutcome(outcome_value)
-                tally.crash_events += len(crash_records)
-                if jr is not None:
-                    trial_record = {"event": "trial", "trial": next_index,
-                                    "seed": seeds[next_index],
-                                    "outcome": outcome_value,
-                                    "cycles": cycles}
-                    if extra is not None:
-                        trial_record["sdc"] = extra
-                    records = crash_records + [trial_record]
-                    if tel.enabled:
-                        with tel.span("journal.commit", trial=next_index):
-                            jr.append_many(records)
-                    else:
-                        jr.append_many(records)
-                tally._record(outcome, cycles, baseline_cycles)
-                if extra is not None:
-                    tally.sdc_records.append({"trial": next_index, **extra})
-                if tel.enabled:
-                    event_fields = dict(event_tags or {})
-                    if extra is not None:
-                        event_fields["severity"] = extra.get("severity")
-                    tel.emit("commit", trial=next_index,
-                             outcome=outcome_value, cycles=cycles,
-                             **event_fields)
-                next_index += 1
-                if progress is not None:
-                    progress(next_index, total, outcome)
-                if tally.counts.crash / total > threshold:
-                    raise _threshold_error(
-                        key, tally.counts.crash, total, threshold)
-                if _stop_satisfied(stop_rule, tally):
-                    tally.stopped_early = True
-                    log.info("campaign %s: stop rule satisfied after %d/%d "
-                             "trials", key, next_index, total)
-                    break
+            committer.offer(i, FaultOutcome(outcome_value), cycles, extra,
+                            crashes)
 
             # Refill the pool while the rule is undecided: keep at most
             # ~two chunks in flight so satisfaction wastes little work.
             if (stop_rule is not None and not tally.stopped_early
                     and next_to_submit < total
-                    and next_to_submit - next_index <= chunk_size):
+                    and next_to_submit - committer.next_index <= chunk_size):
                 submit_round(chunk_size)
     finally:
         for _, proc in procs:

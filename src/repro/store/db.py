@@ -32,6 +32,7 @@ current :data:`SCHEMA_VERSION` first.
 from __future__ import annotations
 
 import sqlite3
+import time
 from pathlib import Path
 
 from repro.config import get_settings
@@ -40,6 +41,10 @@ from repro.log import get_logger
 __all__ = ["SCHEMA_VERSION", "connect", "ensure_schema", "store_path"]
 
 log = get_logger(__name__)
+
+#: How long a connection waits on another's lock (busy handler and the
+#: WAL switch alike) before giving up.
+BUSY_TIMEOUT_S = 10.0
 
 #: Applied migrations == ``PRAGMA user_version``. Append a new script to
 #: :data:`MIGRATIONS` (never edit an existing one) to evolve the schema.
@@ -184,6 +189,29 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
         conn.isolation_level = old_isolation
 
 
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch the database to WAL mode, retrying while it is locked.
+
+    SQLite does not call the busy handler for ``PRAGMA journal_mode``:
+    when another connection holds a lock (say, a concurrent first
+    connect migrating the fresh file) the switch fails at once with
+    ``database is locked`` instead of waiting out the busy timeout. So
+    wait here, with backoff, for at most :data:`BUSY_TIMEOUT_S`.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if ("database is locked" not in str(exc)
+                    or time.monotonic() + delay > deadline):
+                raise
+        time.sleep(delay)
+        delay = min(2 * delay, 0.05)
+
+
 def connect(path: Path | str | None = None) -> sqlite3.Connection:
     """Open (creating and migrating if needed) the run ledger.
 
@@ -193,10 +221,10 @@ def connect(path: Path | str | None = None) -> sqlite3.Connection:
     """
     db = Path(path) if path is not None else store_path()
     db.parent.mkdir(parents=True, exist_ok=True)
-    conn = sqlite3.connect(str(db), timeout=10.0)
+    conn = sqlite3.connect(str(db), timeout=BUSY_TIMEOUT_S)
     conn.row_factory = sqlite3.Row
-    conn.execute("PRAGMA journal_mode=WAL")
+    _enable_wal(conn)
     conn.execute("PRAGMA synchronous=NORMAL")
-    conn.execute("PRAGMA busy_timeout=10000")
+    conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
     ensure_schema(conn)
     return conn

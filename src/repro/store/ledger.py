@@ -33,6 +33,7 @@ import sqlite3
 import time
 from pathlib import Path
 
+from repro.fi.campaign import seed_tag
 from repro.log import get_logger
 from repro.store.db import connect, store_path
 from repro.store.perf import PerfMetrics
@@ -79,36 +80,17 @@ def spec_fingerprint(payload: dict) -> str:
 
 
 def tag_from_payload(payload: dict) -> str:
-    """Reconstruct the journal/seed-stream tag of a cached campaign.
-
-    Mirrors the tag construction in :mod:`repro.fi.campaign` exactly
-    (uarch: ``app/kernel/uarch/structure/config/hardened`` plus the
-    fault-model/target suffix when non-default; sw: ``app/kernel/kind/
-    config/hardened``; src: ``app/kernel/kind/config``), so ledger rows
-    join against journal metadata and telemetry labels.
-    """
-    app = payload["app_name"]
-    kernel = payload["kernel"]
-    kind = payload["injector"]
-    config = payload["config_name"]
-    hardened = bool(payload.get("hardened", False))
-    harden = payload.get("harden")
-    if kind == "uarch":
-        structure = payload.get("structure") or "control"
-        tag = f"{app}/{kernel}/uarch/{structure}/{config}/{hardened}"
-        fault_model = payload.get("fault_model", "transient")
-        target = payload.get("fault_target", "storage")
-        if fault_model != "transient" or target != "storage":
-            tag += f"/{fault_model}/{target}"
-        if harden:
-            tag += f"/{harden}"
-        return tag
-    if kind.startswith("sw-src"):
-        return f"{app}/{kernel}/{kind}/{config}"
-    tag = f"{app}/{kernel}/{kind}/{config}/{hardened}"
-    if harden:
-        tag += f"/{harden}"
-    return tag
+    """Reconstruct the journal/seed-stream tag of a cached campaign with
+    the same :func:`repro.fi.campaign.seed_tag` the campaign used, so
+    ledger rows join against journal metadata and telemetry labels
+    (legacy ``hardened: true`` payloads included)."""
+    return seed_tag(
+        payload["injector"], payload["app_name"], payload["kernel"],
+        payload["config_name"], structure=payload.get("structure"),
+        fault_model=payload.get("fault_model", "transient"),
+        target=payload.get("fault_target", "storage"),
+        harden=payload.get("harden"),
+        hardened=bool(payload.get("hardened", False)))
 
 
 def row_from_payload(key: str, payload: dict) -> dict:

@@ -116,7 +116,39 @@ def test_run_campaign_validation_errors(tmp_cache, gv100):
     with pytest.raises(ConfigError, match="unknown application"):
         run_campaign(CampaignSpec(level="sw", app="not-an-app"))
     with pytest.raises(ConfigError, match="no hardened variant"):
-        run_campaign(CampaignSpec(level="src", app="va", hardened=True))
+        run_campaign(CampaignSpec(level="src", app="va", harden="tmr"))
+    with pytest.raises(TypeError):
+        CampaignSpec(level="src", app="va", hardened=True)
+
+
+@pytest.mark.parametrize("level", ["uarch", "sw", "sw-ld", "src",
+                                   "src-sticky"])
+def test_profile_supplier_called_once_on_miss_never_on_hit(
+        tmp_cache, monkeypatch, level):
+    """Every level takes its golden profile from ``profile_supplier`` on
+    a cache miss (src levels used to drop it and re-profile), and a
+    cache hit never asks for one."""
+    import repro.fi.campaign as campaign
+
+    spec = CampaignSpec(level=level, app="va",
+                        structure="rf" if level == "uarch" else None,
+                        trials=3, seed=5, workers=1)
+    profile = profile_app(get_application("va"),
+                          campaign._resolve_config(None, level))
+    calls = []
+
+    def supplier():
+        calls.append(level)
+        return profile
+
+    def no_golden_run(*args, **kwargs):
+        raise AssertionError("golden run despite a profile supplier")
+
+    monkeypatch.setattr(campaign, "profile_app", no_golden_run)
+    first = run_campaign(spec, profile_supplier=supplier)
+    second = run_campaign(spec, profile_supplier=supplier)
+    assert calls == [level]
+    assert first.to_dict() == second.to_dict()
 
 
 def test_deprecated_wrappers_are_gone():

@@ -85,10 +85,7 @@ def test_harden_and_plain_use_distinct_cache_keys(tmp_cache, v100):
 
 
 def test_harden_tmr_runs_the_tmr_harness(tmp_cache, v100):
-    """Resolving "tmr" by name runs the same factory the legacy hardened
-    path uses (the schemes sample distinct fault sets because the scheme
-    name enters the seed tag, so only the machinery — not the per-trial
-    outcomes — is comparable)."""
+    """Resolving "tmr" by name runs the TMR harness factory."""
     assert hardening_scheme("tmr") is tmr_harness_factory
     by_name = run_campaign(_spec(config=v100, harden="tmr",
                                  use_cache=False))
@@ -96,13 +93,56 @@ def test_harden_tmr_runs_the_tmr_harness(tmp_cache, v100):
     assert by_name.harden == "tmr"
 
 
+def _counting_scheme(monkeypatch, name):
+    """Wrap a registry scheme so each harness it builds is recorded."""
+    built = []
+    factory = HARDENING_SCHEMES[name]
+
+    def counting():
+        harness = factory()
+        built.append(type(harness))
+        return harness
+
+    monkeypatch.setitem(HARDENING_SCHEMES, name, counting)
+    return built
+
+
+@pytest.mark.parametrize("level", ["uarch", "sw"])
+@pytest.mark.parametrize("name", ["tmr", "dmr", "abft", "range"])
+def test_harden_runs_profile_and_trials_under_the_scheme(
+        tmp_cache, monkeypatch, level, name):
+    """``harden`` alone (no factory, no legacy flag) puts the golden run
+    and every trial under the scheme's harness — the retired
+    ``hardened=True`` flag without a factory silently ran unhardened."""
+    scheme = type(hardening_scheme(name)())
+    built = _counting_scheme(monkeypatch, name)
+    spec = CampaignSpec(level=level, app="va", kernel="va_k1",
+                        structure="rf" if level == "uarch" else None,
+                        trials=6, seed=7, workers=1, use_cache=False)
+    plain = run_campaign(spec)
+    hardened = run_campaign(spec.derive(harden=name))
+    assert built == [scheme] * 7  # golden run + one per trial
+    assert hardened.harden == name and hardened.hardened is False
+    if name in ("tmr", "dmr"):
+        # Replicated launches: the hardened profile is visibly longer.
+        assert hardened.kernel_cycles != plain.kernel_cycles
+    if name == "tmr" and level == "sw":
+        assert plain.counts.sdc > 0 and hardened.counts.sdc == 0
+
+
 def test_harden_plus_hardened_rejected(tmp_cache, v100):
-    with pytest.raises(ConfigError, match="legacy TMR shorthand"):
-        run_campaign(_spec(config=v100, harden="tmr", hardened=True))
+    """``harden`` is the only way to name a protection scheme: the retired
+    ``hardened=True`` shorthand is no longer a spec field."""
+    with pytest.raises(TypeError):
+        _spec(config=v100, harden="tmr", hardened=True)
+    with pytest.raises(TypeError):
+        _spec(config=v100, hardened=True)
 
 
 def test_harden_plus_explicit_factory_rejected(tmp_cache, v100):
-    with pytest.raises(ConfigError, match="hardening registry"):
+    """An explicit harness factory cannot be passed alongside (or instead
+    of) a registry scheme: ``run_campaign`` takes no ``harness_factory``."""
+    with pytest.raises(TypeError):
         run_campaign(_spec(config=v100, harden="tmr"),
                      harness_factory=tmr_harness_factory)
 

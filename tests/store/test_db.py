@@ -79,24 +79,34 @@ def _connect_and_close(db_path: str, barrier) -> None:
     connect(db_path).close()
 
 
+#: Fork races per run: a single race used to lose to "database is
+#: locked" (SQLite skips the busy handler for the WAL switch) often
+#: enough to flake, so one run repeats it.
+RACE_ROUNDS = 24
+
+
 def test_concurrent_first_connect_migrates_once(tmp_path):
-    """Two processes racing to create a fresh ledger must not trip over
-    each other's CREATE TABLE (regression: 'table runs already exists')."""
+    """Processes racing to create a fresh ledger must not trip over each
+    other's CREATE TABLE (regression: 'table runs already exists') nor
+    over the WAL switch (regression: 'database is locked')."""
     import multiprocessing as mp
 
-    db = tmp_path / "fresh.sqlite3"
     ctx = mp.get_context("fork")
-    barrier = ctx.Barrier(2)
-    procs = [ctx.Process(target=_connect_and_close,
-                         args=(str(db), barrier)) for _ in range(2)]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join()
-        assert p.exitcode == 0
-    conn = connect(db)
-    try:
-        (version,) = conn.execute("PRAGMA user_version").fetchone()
-        assert version == SCHEMA_VERSION
-    finally:
-        conn.close()
+    for round_ in range(RACE_ROUNDS):
+        db = tmp_path / f"fresh-{round_}.sqlite3"
+        racers = 2 + round_ % 2
+        barrier = ctx.Barrier(racers)
+        procs = [ctx.Process(target=_connect_and_close,
+                             args=(str(db), barrier))
+                 for _ in range(racers)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join()
+            assert p.exitcode == 0, f"round {round_}"
+        conn = connect(db)
+        try:
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            assert version == SCHEMA_VERSION
+        finally:
+            conn.close()

@@ -112,6 +112,24 @@ def test_backfill_and_live_rows_field_identical(tmp_path):
         assert live_fields == back_fields
 
 
+def test_legacy_hardened_payload_loads_and_backfills(tmp_path):
+    """Payloads cached under the retired ``hardened`` flag still load as
+    results and backfill with their original tag."""
+    from repro.fi import CampaignResult
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    payload = _payload(injector="sw", structure=None, hardened=True,
+                       config_name="tesla-v100-like")
+    (cache / "legacy.json").write_text(json.dumps(payload))
+    assert CampaignResult.from_dict(payload).hardened is True
+    with RunLedger(tmp_path / "l.db") as ledger:
+        assert ledger.backfill(cache) == (1, 0)
+        row = ledger.get("legacy")
+        assert row["hardened"] == 1
+        assert row["tag"] == "va/va_k1/sw/tesla-v100-like/True"
+
+
 def test_backfill_skips_unreadable_payloads(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
