@@ -3,6 +3,10 @@
 A campaign profiles the application fault-free (golden outputs, per-launch
 cycles and dynamic-instruction counts), then runs N injected trials, each on
 a reset device with one planned fault, and tallies the outcome classes.
+The profile also carries one checkpoint per golden launch, and trial GPUs
+replay every launch that starts from the golden state instead of
+simulating it (see :mod:`repro.sim.replay`); results are the same either
+way.
 
 :func:`run_campaign` is the single entry point: a frozen
 :class:`CampaignSpec` names the injection ``level`` (``uarch``, ``sw``,
@@ -156,7 +160,13 @@ def _matches_kernel(launch_name: str, kernel: str) -> bool:
 
 @dataclass
 class AppProfile:
-    """Fault-free profile of one application on one configuration."""
+    """Fault-free profile of one application on one configuration.
+
+    ``checkpoints`` is the golden launch memo (one
+    :class:`~repro.sim.replay.Checkpoint` per launch): trial GPUs replay
+    every launch that starts from the golden state instead of simulating
+    it. An empty memo simulates every launch, with identical results.
+    """
 
     app_name: str
     config_name: str
@@ -164,6 +174,7 @@ class AppProfile:
     golden: dict  # output name -> ndarray
     total_cycles: int
     stats_by_launch: list[dict]
+    checkpoints: tuple = ()
 
     def kernel_launches(self, kernel: str, include_post: bool = True
                         ) -> list[dict]:
@@ -194,6 +205,7 @@ def profile_app(
 ) -> AppProfile:
     """Run the application fault-free and collect its profile."""
     gpu = GPU(config)
+    gpu.recorder = []
     harness = harness_factory() if harness_factory else DeviceHarness()
     golden = app.run(gpu, harness)
     harness.finalize(gpu)
@@ -221,6 +233,7 @@ def profile_app(
         golden=golden,
         total_cycles=sum(l["cycles"] for l in launches),
         stats_by_launch=stats_by_launch,
+        checkpoints=tuple(gpu.recorder),
     )
 
 
@@ -846,13 +859,15 @@ def trial_cycle_budget(profile: AppProfile) -> int:
 def _gpu_factory(profile: AppProfile, config: GPUConfig):
     """Fresh budget-configured GPUs for the runner (start-up, worker
     processes, and post-crash replacement — a trial that blew up may have
-    left the device corrupted)."""
+    left the device corrupted), replaying the profile's golden launches."""
     watchdog = trial_cycle_budget(profile)
+    memo = profile.checkpoints if profile.config_name == config.name else ()
 
     def factory() -> GPU:
         gpu = GPU(config)
         gpu.cycle_budget_fn = _budget_fn(profile, config)
         gpu.trial_cycle_budget = watchdog
+        gpu.replay = memo
         return gpu
 
     return factory
@@ -864,9 +879,10 @@ def _kernel_rollup(gpu: GPU) -> dict[str, dict[str, int]]:
     rollup: dict[str, dict[str, int]] = {}
     for rec in gpu.launch_records:
         roll = rollup.setdefault(
-            rec.name, {"launches": 0, "cycles": 0, "warp_instructions": 0,
-                       "thread_instructions": 0})
+            rec.name, {"launches": 0, "replayed": 0, "cycles": 0,
+                       "warp_instructions": 0, "thread_instructions": 0})
         roll["launches"] += 1
+        roll["replayed"] += rec.replayed
         roll["cycles"] += rec.stats.cycles
         roll["warp_instructions"] += rec.stats.warp_instructions
         roll["thread_instructions"] += rec.stats.thread_instructions

@@ -35,7 +35,11 @@ class SoftwareFaultPlan:
 
 
 class SoftwareInjector:
-    """GPU hook receiving ``after_write`` for every injectable instruction."""
+    """GPU hook receiving ``after_write`` for every injectable instruction.
+
+    ``active`` is true from the start of the planned launch until the flip;
+    a launch in which it stays false may be replayed from the golden run.
+    """
 
     #: Destination-register model: the SM skips the source-injection hooks.
     wants_sources = False
@@ -44,6 +48,10 @@ class SoftwareInjector:
         self.plan = plan
         self._active = False
         self._counter = 0
+
+    @property
+    def active(self) -> bool:
+        return self._active
 
     def begin_launch(self, launch_index: int, kernel_name: str) -> None:
         self._active = launch_index == self.plan.launch_index and not self.plan.fired

@@ -43,6 +43,7 @@ class SourceInjector:
 
     Exposes ``wants_sources`` so the SM issue loop knows to call the
     before/after pair; destination counting hooks are no-ops here.
+    ``active`` is true from the start of the planned launch until the flip.
     """
 
     wants_sources = True
@@ -51,6 +52,10 @@ class SourceInjector:
         self.plan = plan
         self._active = False
         self._counter = 0
+
+    @property
+    def active(self) -> bool:
+        return self._active
 
     def begin_launch(self, launch_index: int, kernel_name: str) -> None:
         self._active = (

@@ -278,6 +278,55 @@ class Cache:
     def reset_stats(self) -> None:
         self.stats = CacheStats()
 
+    def reset(self) -> None:
+        """Return to the post-construction state: every array (invalid-line
+        data and LRU stamps included), the LRU clock and the counters."""
+        self.invalidate_all()
+        self.data.fill(0)
+        self.lru.fill(0)
+        self._lru_clock = 0
+        self.reset_stats()
+
+    # ------------------------------------------------------------------ #
+    # Launch-boundary state (golden launch replay, see repro.sim.replay)
+    # ------------------------------------------------------------------ #
+    def update_canonical(self, h) -> None:
+        """Feed ``h`` (a hashlib object) the state a launch can observe.
+
+        That is, per set, which ways are valid, their tags, dirty bits and
+        data, and the LRU *order* among them. Invalid-line data (refilled
+        before any read) and absolute LRU stamps (only compared within a
+        set) are left out, so states that differ only there hash equal.
+        """
+        valid = self.valid
+        ways = np.flatnonzero(valid)
+        # Each set's ways from least to most recently used, invalid ways
+        # last in index order (ties resolve by index, as in _victim).
+        stamps = np.where(valid, self.lru, np.iinfo(np.int64).max)
+        order = np.argsort(stamps.reshape(self._num_sets, self._assoc),
+                           axis=1, kind="stable")
+        h.update(ways.tobytes())
+        h.update(order.tobytes())
+        h.update(self.tags[ways].tobytes())
+        h.update(self.dirty[ways].tobytes())
+        h.update(self.data[ways].tobytes())
+
+    def save_state(self) -> tuple:
+        """A copy of the line arrays and LRU clock (between launches)."""
+        return (self.data.copy(), self.tags.copy(), self.valid.copy(),
+                self.dirty.copy(), self.lru.copy(), self._lru_clock)
+
+    def load_state(self, state: tuple) -> None:
+        """Restore a :meth:`save_state` copy; no fill is in flight."""
+        data, tags, valid, dirty, lru, self._lru_clock = state
+        self.data[:] = data
+        self.tags[:] = tags
+        self.valid[:] = valid
+        self.dirty[:] = dirty
+        self.lru[:] = lru
+        self.fill_done[:] = 0
+        self._fills_in_flight.clear()
+
     def new_clock_epoch(self) -> None:
         """Forget in-flight fill timing (the launch clock restarts at 0).
 

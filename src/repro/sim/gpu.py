@@ -17,6 +17,17 @@ the kernel has drained). Fault-injection hooks:
   (all launches together) may execute before :class:`SimTimeout` aborts it.
   Per-launch budgets cannot catch a host-side convergence loop that a
   persistent fault keeps from ever converging; this one does.
+* ``replay`` — golden launch memo (one :class:`~repro.sim.replay.Checkpoint`
+  per launch of the fault-free run, set by the campaign harness). A launch
+  in which no injector is active and no tracer is attached, whose
+  arguments and pre-launch state digest equal the golden launch at the
+  same index, and whose golden cycles fit both budgets above, is not
+  simulated: the golden post-launch memory, L2 and scheduler cursors are
+  restored and the record carries a copy of the golden statistics
+  (``replayed=True``).
+  Every other launch is simulated. See :mod:`repro.sim.replay`.
+* ``recorder`` — a list that, when set, receives one checkpoint per
+  launch (the fault-free profiling run builds the memo this way).
 """
 
 from __future__ import annotations
@@ -31,6 +42,12 @@ from repro.isa.program import Program
 from repro.sim.cache import Cache, DRAMInterface
 from repro.sim.executor import CompiledKernel
 from repro.sim.memory import GlobalMemory
+from repro.sim.replay import (
+    allocation_counters,
+    checkpoint,
+    replay_launch,
+    state_digest,
+)
 from repro.sim.sm import SM
 from repro.sim.stats import LaunchStats
 from repro.sim.warp import CTA
@@ -70,6 +87,8 @@ class LaunchRecord:
     launch: KernelLaunch
     stats: LaunchStats
     program_name: str = ""
+    #: Restored from the golden run's memo instead of simulated.
+    replayed: bool = False
 
     @property
     def name(self) -> str:
@@ -114,6 +133,8 @@ class GPU:
         self.sw_injector = None
         self.tracer = None
         self.cycle_budget_fn = None
+        self.replay: tuple = ()
+        self.recorder: list | None = None
         # Trial watchdog (see module docstring): cumulative cycle budget
         # across every launch of one app run, and the cycles already burnt
         # by completed launches of the current run.
@@ -187,12 +208,40 @@ class GPU:
             raise LaunchError(f"{program.name} uses shared memory but none requested")
 
         encoded = tuple(_encode_param(p) for p in params)
-        const_bank = np.asarray(encoded, dtype=np.uint32)
         kernel_name = name or program.name
         launch_index = len(self.launch_records)
         launch = KernelLaunch(kernel_name, grid, block, encoded, smem_bytes)
 
-        self.kernel = CompiledKernel(program, const_bank, self.config)
+        budget = None
+        if self.cycle_budget_fn is not None:
+            budget = self.cycle_budget_fn(launch_index, kernel_name)
+        if budget is None:
+            budget = DEFAULT_CYCLE_CAP
+
+        plan = None
+        if self.uarch_injector is not None:
+            plan = self.uarch_injector.arm(launch_index, kernel_name, self)
+        sw = self.sw_injector
+        if sw is not None:
+            sw.begin_launch(launch_index, kernel_name)
+
+        if (self.replay and plan is None and self.tracer is None
+                and not (sw is not None and sw.active)):
+            stats = replay_launch(self, launch_index, launch, program, budget)
+            if stats is not None:
+                self.stats = stats
+                self.trial_cycles_done += stats.cycles
+                record = LaunchRecord(launch_index, launch, stats,
+                                      program.name, replayed=True)
+                self.launch_records.append(record)
+                return record
+
+        recorder = self.recorder
+        if recorder is not None:
+            digest, counters = state_digest(self), allocation_counters(self)
+
+        self.kernel = CompiledKernel(
+            program, np.asarray(encoded, dtype=np.uint32), self.config)
         stats = LaunchStats(
             regs_per_thread=program.num_regs,
             smem_bytes_per_cta=smem_bytes,
@@ -233,23 +282,11 @@ class GPU:
         for sm in self.sms:
             self._fill_sm(sm, program, smem_bytes)
 
-        budget = None
-        if self.cycle_budget_fn is not None:
-            budget = self.cycle_budget_fn(launch_index, kernel_name)
-        if budget is None:
-            budget = DEFAULT_CYCLE_CAP
-
-        plan = None
-        if self.uarch_injector is not None:
-            plan = self.uarch_injector.arm(launch_index, kernel_name, self)
-            if plan is not None and plan.fired:
-                # A persistent fault re-armed for a later launch: the
-                # simulator rebuilt RF/warp state at launch, so the plan
-                # re-resolves its drawn site against the live structures.
-                plan.rebind(self)
-
-        if self.sw_injector is not None:
-            self.sw_injector.begin_launch(launch_index, kernel_name)
+        if plan is not None and plan.fired:
+            # A persistent fault re-armed for a later launch: the
+            # simulator rebuilt RF/warp state at launch, so the plan
+            # re-resolves its drawn site against the live structures.
+            plan.rebind(self)
 
         try:
             self._run(plan, budget, stats)
@@ -262,6 +299,9 @@ class GPU:
         record = LaunchRecord(launch_index, launch, stats, program.name)
         self._collect_cache_stats(stats)
         self.launch_records.append(record)
+        if recorder is not None:
+            recorder.append(checkpoint(self, digest, counters, launch,
+                                       program, stats))
         return record
 
     def _fill_sm(self, sm: SM, program: Program, smem_bytes: int) -> None:
@@ -380,18 +420,18 @@ class GPU:
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Return the device to its post-boot state (fresh app run)."""
+        """Return the device to its post-boot state (fresh app run): equal,
+        array for array and counter for counter, to a new ``GPU(config)``
+        (hooks excepted)."""
         self.mem.reset()
-        self.l2.invalidate_all()
-        self.l2.reset_stats()
+        self.l2.reset()
         for sm in self.sms:
-            sm.l1d.invalidate_all()
-            sm.l1t.invalidate_all()
-            sm.l1d.reset_stats()
-            sm.l1t.reset_stats()
+            sm.reset()
         self.launch_records.clear()
         self.now = 0
         self.trial_cycles_done = 0
         self.kernel = None
         self.stats = None
+        self._warp_uid = 0
         self._pending = []
+        self._current_smem_bytes = 0

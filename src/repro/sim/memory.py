@@ -8,6 +8,10 @@ faults that corrupt pointers/indices become DUE outcomes, mirroring the
 
 A null guard region at the bottom of the address space ensures that a
 zeroed/corrupted pointer faults instead of silently reading address 0.
+
+Every write raises a *write high-water mark*: bytes at or above it are
+still zero, so :meth:`GlobalMemory.reset` clears only the written prefix
+and the golden-launch replay key (:mod:`repro.sim.replay`) hashes only it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ ALLOC_ALIGN = 256
 
 
 class GlobalMemory:
-    """Flat device memory: one uint8 array plus an allocation watermark."""
+    """Flat device memory: one uint8 array, an allocation watermark and a
+    write high-water mark (every byte at or above ``written_end`` is 0)."""
 
     def __init__(self, size_bytes: int):
         if size_bytes <= HEAP_BASE:
@@ -31,6 +36,7 @@ class GlobalMemory:
         self.size = size_bytes
         self.data = np.zeros(size_bytes, dtype=np.uint8)
         self._next = HEAP_BASE
+        self.written_end = 0
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -52,7 +58,8 @@ class GlobalMemory:
     def reset(self) -> None:
         """Free everything (used between independent application runs)."""
         self._next = HEAP_BASE
-        self.data[:] = 0
+        self.data[: self.written_end] = 0
+        self.written_end = 0
 
     @property
     def heap_end(self) -> int:
@@ -79,6 +86,7 @@ class GlobalMemory:
         if addr < HEAP_BASE or addr + payload.size > self._next:
             raise IllegalMemoryAccess(addr, payload.size, "host write out of bounds")
         self.data[addr : addr + payload.size] = payload
+        self.written_end = max(self.written_end, addr + payload.size)
 
     def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
         if addr < HEAP_BASE or addr + nbytes > self._next:
@@ -99,7 +107,12 @@ class GlobalMemory:
         return out
 
     def write_line(self, line_addr: int, payload: np.ndarray) -> None:
-        """Write back one (possibly corrupted) line, clipped to device size."""
+        """Write back one (possibly corrupted) line, clipped to device size.
+
+        The line may straddle the heap watermark, so its whole span (not
+        just the heap part) raises the write high-water mark.
+        """
         end = min(line_addr + payload.size, self.size)
         if line_addr < self.size:
             self.data[line_addr:end] = payload[: end - line_addr]
+            self.written_end = max(self.written_end, end)

@@ -43,6 +43,10 @@ class RegisterFile:
         self._banks: dict[int, WarpRegisters] = {}  # warp uid -> bank
         self._next_uid = 0
 
+    def reset(self) -> None:
+        """Restart the uid counter (no bank is live between launches)."""
+        self._next_uid = 0
+
     def can_allocate(self, num_warps: int, regs_per_thread: int) -> bool:
         need = num_warps * regs_per_thread * self.warp_size
         return self.allocated_regs + need <= self.total_regs

@@ -56,6 +56,10 @@ class SharedMemory:
         self._windows: dict[int, SharedWindow] = {}
         self._next_uid = 0
 
+    def reset(self) -> None:
+        """Restart the uid counter (no window is live between launches)."""
+        self._next_uid = 0
+
     def can_allocate(self, nbytes: int) -> bool:
         return self.allocated_bytes + nbytes <= self.total_bytes
 

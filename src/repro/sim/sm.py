@@ -38,6 +38,14 @@ class SM:
         self.warps: list[Warp] = []
         self._rr = 0
 
+    def reset(self) -> None:
+        """Return to the post-construction state (fresh app run)."""
+        self.rf.reset()
+        self.smem.reset()
+        self.l1d.reset()
+        self.l1t.reset()
+        self._rr = 0
+
     # ------------------------------------------------------------------ #
     # Residency
     # ------------------------------------------------------------------ #

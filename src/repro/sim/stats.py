@@ -8,7 +8,8 @@ counts, and DRAM read/write traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import copy
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass
@@ -89,6 +90,11 @@ class LaunchStats:
     l1d: CacheStats = field(default_factory=CacheStats)
     l1t: CacheStats = field(default_factory=CacheStats)
     l2: CacheStats = field(default_factory=CacheStats)
+
+    def copy(self) -> "LaunchStats":
+        """An independent copy, cache counters included."""
+        return replace(self, l1d=copy.copy(self.l1d), l1t=copy.copy(self.l1t),
+                       l2=copy.copy(self.l2))
 
     def occupancy(self, max_warps_per_sm: int, num_sms: int) -> float:
         """Time-weighted resident-warp occupancy in [0, 1]."""

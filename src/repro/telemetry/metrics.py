@@ -188,6 +188,16 @@ class CampaignSummary:
     trials_planned: int = 0
     trials_saved: int = 0
 
+    @property
+    def replayed_share(self) -> float | None:
+        """Share of injected-trial launches replayed from the golden run
+        instead of simulated; ``None`` for streams without replay counts."""
+        rolls = [r for r in self.kernels.values() if "replayed" in r]
+        launches = sum(r.get("launches", 0) for r in rolls)
+        if not launches:
+            return None
+        return sum(r["replayed"] for r in rolls) / launches
+
 
 def summarize_events(events: list[dict]) -> CampaignSummary:
     """Fold an event stream into a :class:`CampaignSummary`.
@@ -352,4 +362,7 @@ def render_summary(s: CampaignSummary) -> str:
             roll = s.kernels[kernel]
             detail = ", ".join(f"{k} {v}" for k, v in sorted(roll.items()))
             lines.append(f"    {kernel:<16} {detail}")
+        if s.replayed_share is not None:
+            lines.append(f"  launch replay      {s.replayed_share:.1%} of "
+                         f"launches replayed from the golden run")
     return "\n".join(lines)

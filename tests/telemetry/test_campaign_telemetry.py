@@ -150,3 +150,21 @@ def test_results_bit_identical_with_telemetry_on_and_off(tmp_path,
     assert parallel.to_dict() == plain.to_dict()
     assert tel_cache == plain_cache  # same keys AND same payloads
     assert par_cache == plain_cache
+
+
+def test_kernel_rollup_counts_replayed_launches(tmp_cache, tmp_path, gv100):
+    """Multi-launch trials replay golden launches; the kernels rollup
+    counts them and the summary reports their share."""
+    from repro.telemetry import summarize_events
+
+    spec = CampaignSpec(level="uarch", app="bfs", kernel="bfs_k1",
+                        structure="rf", config=gv100, trials=4, seed=11)
+    with TelemetrySession(tmp_path / "bfs.jsonl") as session:
+        run_campaign(spec, telemetry_session=session)
+    events = read_events(tmp_path / "bfs.jsonl")
+    rollups = [e["kernels"] for e in events if e["kind"] == "kernels"]
+    assert len(rollups) == 4
+    for rollup in rollups:
+        assert all(0 <= r["replayed"] <= r["launches"]
+                   for r in rollup.values())
+    assert 0 < summarize_events(events).replayed_share < 1

@@ -153,6 +153,19 @@ def test_render_summary_prints_every_section():
     assert "per-kernel rollup" in text and "va_k1" in text
 
 
+def test_replayed_share_over_all_kernels():
+    rollup = {"bfs_k1": {"launches": 6, "replayed": 5},
+              "bfs_k2": {"launches": 6, "replayed": 4}}
+    events = [{"ts": float(i), "kind": "kernels", "name": "",
+               "kernels": rollup} for i in range(2)]
+    s = summarize_events(events)
+    assert s.replayed_share == pytest.approx(18 / 24)
+    assert "launch replay      75.0% of launches" in render_summary(s)
+    legacy = summarize_events(_stream())  # rollups without replay counts
+    assert legacy.replayed_share is None
+    assert "launch replay" not in render_summary(legacy)
+
+
 def test_severity_counters_from_commit_events():
     events = _stream()
     for e in events:
