@@ -6,7 +6,10 @@ a reset device with one planned fault, and tallies the outcome classes.
 The profile also carries one checkpoint per golden launch, and trial GPUs
 replay every launch that starts from the golden state instead of
 simulating it (see :mod:`repro.sim.replay`); results are the same either
-way.
+way. It carries the golden register-file access log too: a transient RF
+fault that log proves is overwritten or freed before any read is not
+armed, so its trial runs as a fault-free replay (see
+:mod:`repro.fi.liveness`).
 
 :func:`run_campaign` is the single entry point: a frozen
 :class:`CampaignSpec` names the injection ``level`` (``uarch``, ``sw``,
@@ -110,6 +113,7 @@ from repro.fi.gpufi import (
     plan_microarch_fault,
 )
 from repro.fi.journal import cache_dir
+from repro.fi.liveness import RFLiveness
 from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
 from repro.fi.outcomes import FaultOutcome, OutcomeCounts
 from repro.fi.planner import StopRule
@@ -117,6 +121,7 @@ from repro.fi.runner import ProgressFn, WorkerProgressFn, execute_trials
 import repro.fi.svf_modes as svf_modes
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
+from repro.sim.access_log import AccessRecorder
 from repro.sim.gpu import GPU
 from repro.telemetry.events import (
     NULL,
@@ -166,6 +171,10 @@ class AppProfile:
     :class:`~repro.sim.replay.Checkpoint` per launch): trial GPUs replay
     every launch that starts from the golden state instead of simulating
     it. An empty memo simulates every launch, with identical results.
+
+    ``liveness`` is the golden register-file access log: RF faults it
+    proves dead run unarmed. ``None`` arms every fault, with identical
+    results.
     """
 
     app_name: str
@@ -175,6 +184,7 @@ class AppProfile:
     total_cycles: int
     stats_by_launch: list[dict]
     checkpoints: tuple = ()
+    liveness: "RFLiveness | None" = None
 
     def kernel_launches(self, kernel: str, include_post: bool = True
                         ) -> list[dict]:
@@ -206,6 +216,7 @@ def profile_app(
     """Run the application fault-free and collect its profile."""
     gpu = GPU(config)
     gpu.recorder = []
+    gpu.access_log = AccessRecorder()
     harness = harness_factory() if harness_factory else DeviceHarness()
     golden = app.run(gpu, harness)
     harness.finalize(gpu)
@@ -234,6 +245,9 @@ def profile_app(
         total_cycles=sum(l["cycles"] for l in launches),
         stats_by_launch=stats_by_launch,
         checkpoints=tuple(gpu.recorder),
+        liveness=RFLiveness(app.name, app.seed, config.name, harness_factory,
+                            config.warp_size,
+                            tuple(gpu.access_log.launches)),
     )
 
 
@@ -667,7 +681,7 @@ def run_campaign(
             key=key,
             seeds=spawn_seeds(spec.seed, tag, planned),
             trial_fn=_injection_trial_fn(
-                app, profile, harness_factory,
+                app, profile, config, harness_factory,
                 lambda s: level.plan(launches, s, context), level,
                 sdc_anatomy=spec.sdc_anatomy),
             gpu_factory=_gpu_factory(profile, config),
@@ -889,17 +903,20 @@ def _kernel_rollup(gpu: GPU) -> dict[str, dict[str, int]]:
     return rollup
 
 
-def _injection_trial_fn(app, profile, harness_factory, plan_fn,
+def _injection_trial_fn(app, profile, config, harness_factory, plan_fn,
                         level: "_Level", sdc_anatomy=False):
     """The one trial body all campaign levels share: plan a fault for the
     trial seed, arm the level's injector, run the app, classify.
 
     ``plan_fn(trial_seed)`` produces the fault plan; ``level`` names the
     injector class and the GPU hook it arms (``uarch_injector`` or
-    ``sw_injector``). Telemetry (when the runner installed an emitter for
-    this process) gets ``inject.plan`` / ``classify`` phase spans and a
-    per-trial per-kernel LaunchStats rollup; the disabled path adds
-    nothing but one attribute check.
+    ``sw_injector``). A uarch plan the profile's liveness oracle proves
+    dead is not armed: the trial runs fault-free, which is what the
+    armed fault would have run (see :mod:`repro.fi.liveness`).
+    Telemetry (when the runner installed an emitter for this process)
+    gets ``inject.plan`` / ``classify`` phase spans, a ``liveness`` event
+    per judged uarch trial and a per-trial per-kernel LaunchStats rollup;
+    the disabled path adds nothing but one attribute check.
 
     With ``sdc_anatomy`` on, SDC trials return a third element — the
     anatomy record of :func:`repro.sdc.analyze_sdc`, tagged with
@@ -911,6 +928,10 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
                                            # unless a spec opts in
 
     injector_attr, injector_cls = level.injector_attr, level.injector_cls
+    liveness = profile.liveness
+    if (level.kind != "uarch" or liveness is None
+            or not liveness.describes(app, config, harness_factory)):
+        liveness = None
 
     def trial_fn(gpu: GPU, trial_seed: int):
         tel = current_telemetry()
@@ -924,7 +945,13 @@ def _injection_trial_fn(app, profile, harness_factory, plan_fn,
             # baseline cycle count keeps it out of the control-path tally.
             return FaultOutcome.MASKED, profile.total_cycles
         gpu.reset()
-        setattr(gpu, injector_attr, injector_cls(plan))
+        dead = False
+        if liveness is not None:
+            dead = liveness.is_dead(plan)
+            if tel.enabled:
+                tel.emit("liveness", dead=dead)
+        if not dead:
+            setattr(gpu, injector_attr, injector_cls(plan))
         harness = harness_factory() if harness_factory else DeviceHarness()
         try:
             if tel.enabled:

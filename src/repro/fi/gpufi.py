@@ -234,6 +234,26 @@ def _control_sites(gpu) -> list[tuple[str, int, object]]:
     return sites
 
 
+def draw_site(rng, sizes: list[int]) -> tuple[int, int] | None:
+    """Draw one fault site, uniform over the bits of a list of spaces.
+
+    ``sizes`` are the spaces' sizes in bits (live RF banks, SMEM windows,
+    cache data arrays, control sites). Returns the index of the space hit
+    and the bit drawn within it, or ``None`` when there are no bits. The
+    liveness oracle (:mod:`repro.fi.liveness`) replays the draw of RF
+    plans from the golden run's log through this same function.
+    """
+    total = sum(sizes)
+    if total == 0:
+        return None
+    bit = int(rng.integers(total))
+    for index, size in enumerate(sizes):
+        if bit < size:
+            return index, bit
+        bit -= size
+    raise AssertionError("unreachable: the drawn bit is below the total")
+
+
 @dataclass
 class MicroarchFaultPlan:
     """One planned microarchitecture-level injection.
@@ -302,56 +322,32 @@ class MicroarchFaultPlan:
     def _select_storage(self, gpu, rng) -> tuple[list, str]:
         structure = self.structure
         if structure is Structure.RF:
-            banks = gpu.live_rf_banks()
-            sizes = [bank.regs.size * 32 for bank in banks]
-            total = sum(sizes)
-            if total == 0:
-                return [], ""
-            bit = int(rng.integers(total))
-            for bank, size in zip(banks, sizes):
-                if bit < size:
-                    targets = [_BufferBit(bank.regs.view(np.uint8), b)
-                               for b in self._bits(bit, size)]
-                    return targets, f"RF bank bit {bit} x{self.num_bits}"
-                bit -= size
+            spaces = [("RF bank", bank.regs.view(np.uint8))
+                      for bank in gpu.live_rf_banks()]
         elif structure is Structure.SMEM:
-            windows = gpu.live_smem_windows()
-            sizes = [w.size * 8 for w in windows]
-            total = sum(sizes)
-            if total == 0:
-                return [], ""
-            bit = int(rng.integers(total))
-            for window, size in zip(windows, sizes):
-                if bit < size:
-                    targets = [_BufferBit(window.data, b)
-                               for b in self._bits(bit, size)]
-                    return targets, f"SMEM window bit {bit} x{self.num_bits}"
-                bit -= size
+            spaces = [("SMEM window", window.data)
+                      for window in gpu.live_smem_windows()]
         else:
-            caches = gpu.cache_instances(structure)
-            total = sum(c.total_bits for c in caches)
-            bit = int(rng.integers(total))
-            for cache in caches:
-                if bit < cache.total_bits:
-                    targets = [_BufferBit(cache.data, b)
-                               for b in self._bits(bit, cache.total_bits)]
-                    return targets, f"{cache.name} bit {bit} x{self.num_bits}"
-                bit -= cache.total_bits
-        return [], ""
+            spaces = [(cache.name, cache.data)
+                      for cache in gpu.cache_instances(structure)]
+        sizes = [buf.size * 8 for _, buf in spaces]
+        site = draw_site(rng, sizes)
+        if site is None:
+            return [], ""
+        index, bit = site
+        label, buf = spaces[index]
+        return ([_BufferBit(buf, b) for b in self._bits(bit, sizes[index])],
+                f"{label} bit {bit} x{self.num_bits}")
 
     def _select_control(self, gpu, rng) -> tuple[list, str]:
         sites = _control_sites(gpu)
-        total = sum(bits for _, bits, _ in sites)
-        if total == 0:
+        site = draw_site(rng, [bits for _, bits, _ in sites])
+        if site is None:
             return [], ""
-        bit = int(rng.integers(total))
-        for name, bits, make in sites:
-            if bit < bits:
-                group = self._bits(bit, bits)
-                targets = [make(b) for b in group]
-                return targets, f"{name} bit {bit} x{len(group)}"
-            bit -= bits
-        return [], ""
+        index, bit = site
+        name, bits, make = sites[index]
+        group = self._bits(bit, bits)
+        return [make(b) for b in group], f"{name} bit {bit} x{len(group)}"
 
     def _select(self, gpu) -> tuple[list, str]:
         # One fresh, tag-derived stream per resolution: firing and every

@@ -28,6 +28,15 @@ the kernel has drained). Fault-injection hooks:
   Every other launch is simulated. See :mod:`repro.sim.replay`.
 * ``recorder`` — a list that, when set, receives one checkpoint per
   launch (the fault-free profiling run builds the memo this way).
+* ``access_log`` — an :class:`~repro.sim.access_log.AccessRecorder` that,
+  when set, receives every issue and CTA residency change and packs one
+  register-file access log per completed launch (the profiling run feeds
+  the liveness oracle of :mod:`repro.fi.liveness` this way). Like a
+  tracer, it turns launch replay off.
+
+Compiled kernels are cached per GPU, keyed on the program object and the
+encoded launch parameters (the constant bank), so a trial rebuilds no
+kernel an earlier trial on the same device already built.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ from repro.utils.bitops import bitcast_f2u
 
 #: Absolute cycle cap for launches without an explicit budget (profiling).
 DEFAULT_CYCLE_CAP = 10_000_000
+
+#: Compiled kernels one GPU keeps; the cache starts over when full (host
+#: loops perturbed by faults can launch with ever new parameters).
+KERNEL_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,8 @@ class GPU:
         self.cycle_budget_fn = None
         self.replay: tuple = ()
         self.recorder: list | None = None
+        self.access_log = None
+        self._kernels: dict[tuple, CompiledKernel] = {}
         # Trial watchdog (see module docstring): cumulative cycle budget
         # across every launch of one app run, and the cycles already burnt
         # by completed launches of the current run.
@@ -226,6 +241,7 @@ class GPU:
             sw.begin_launch(launch_index, kernel_name)
 
         if (self.replay and plan is None and self.tracer is None
+                and self.access_log is None
                 and not (sw is not None and sw.active)):
             stats = replay_launch(self, launch_index, launch, program, budget)
             if stats is not None:
@@ -240,8 +256,7 @@ class GPU:
         if recorder is not None:
             digest, counters = state_digest(self), allocation_counters(self)
 
-        self.kernel = CompiledKernel(
-            program, np.asarray(encoded, dtype=np.uint32), self.config)
+        self.kernel = self._compiled(program, encoded)
         stats = LaunchStats(
             regs_per_thread=program.num_regs,
             smem_bytes_per_cta=smem_bytes,
@@ -302,7 +317,23 @@ class GPU:
         if recorder is not None:
             recorder.append(checkpoint(self, digest, counters, launch,
                                        program, stats))
+        if self.access_log is not None:
+            self.access_log.end_launch(program)
         return record
+
+    def _compiled(self, program: Program,
+                  encoded: tuple[int, ...]) -> CompiledKernel:
+        """The kernel of ``program`` specialised to ``encoded`` parameters,
+        compiled on first use. The entry holds the program, so its ``id``
+        in the key is never reused while the entry lives."""
+        key = (id(program), encoded)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            if len(self._kernels) >= KERNEL_CACHE_SIZE:
+                self._kernels.clear()
+            kernel = self._kernels[key] = CompiledKernel(
+                program, np.asarray(encoded, dtype=np.uint32), self.config)
+        return kernel
 
     def _fill_sm(self, sm: SM, program: Program, smem_bytes: int) -> None:
         regs = max(program.num_regs, 1)
@@ -422,7 +453,7 @@ class GPU:
     def reset(self) -> None:
         """Return the device to its post-boot state (fresh app run): equal,
         array for array and counter for counter, to a new ``GPU(config)``
-        (hooks excepted)."""
+        (hooks and the compiled-kernel cache excepted)."""
         self.mem.reset()
         self.l2.reset()
         for sm in self.sms:

@@ -16,6 +16,8 @@ and the golden-launch replay key (:mod:`repro.sim.replay`) hashes only it.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.errors import IllegalMemoryAccess, LaunchError
@@ -34,7 +36,13 @@ class GlobalMemory:
         if size_bytes <= HEAP_BASE:
             raise LaunchError(f"device memory too small ({size_bytes} bytes)")
         self.size = size_bytes
-        self.data = np.zeros(size_bytes, dtype=np.uint8)
+        # An anonymous mapping, not np.zeros: its pages cost memory only
+        # once touched and go back to the OS when the GPU is freed. A
+        # malloc'd block can come from the heap instead (glibc raises its
+        # mmap threshold after freeing a block this size), where calloc
+        # writes zeros over all of it, so each GPU awaiting garbage
+        # collection held its whole backing store resident.
+        self.data = np.frombuffer(mmap.mmap(-1, size_bytes), dtype=np.uint8)
         self._next = HEAP_BASE
         self.written_end = 0
 

@@ -75,6 +75,9 @@ class SM:
             cta.warps.append(warp)
             self.warps.append(warp)
         self.ctas.append(cta)
+        log = self.gpu.access_log
+        if log is not None:
+            log.host(self.index, cta, self.gpu.now)
 
     def retire_cta(self, cta: CTA) -> None:
         for warp in cta.warps:
@@ -85,6 +88,9 @@ class SM:
             cta.smem = None
         self.ctas.remove(cta)
         self._rr = 0
+        log = self.gpu.access_log
+        if log is not None:
+            log.retire(cta, self.gpu.now)
 
     # ------------------------------------------------------------------ #
     # Issue
@@ -248,4 +254,7 @@ class SM:
         tracer = gpu.tracer
         if tracer is not None:
             tracer.record(cur, instr, warp, gm)
+        log = gpu.access_log
+        if log is not None:
+            log.issue((now, warp.uid, cur, gm))
         return latency

@@ -10,7 +10,8 @@ alongside trial results.
 Event schema (one JSON object per line)::
 
     {"ts": 0.001834,          # seconds since the session epoch (monotonic)
-     "kind": "span",          # span | commit | cache | kernels | campaign
+     "kind": "span",          # span | commit | cache | kernels | liveness
+                              # | campaign
      "name": "trial",         # span/phase name, or "" for plain events
      "campaign": "3fb2...",   # campaign cache key (or caller-chosen label)
      "worker": 0,             # worker id; null = the parent process
@@ -29,8 +30,10 @@ The span/phase vocabulary emitted by the stack:
 
 Plus the plain events ``campaign`` (``phase=begin/end`` with campaign
 meta), ``commit`` (one per committed trial, in trial order, with outcome
-and cycles), ``cache`` (``op=load`` with ``hit``), and ``kernels``
-(per-trial per-kernel LaunchStats rollup).
+and cycles), ``cache`` (``op=load`` with ``hit``), ``kernels``
+(per-trial per-kernel LaunchStats rollup), and ``liveness`` (one per
+uarch trial the dead-fault oracle judged, with ``dead``: whether its
+fault was proven never read and the trial ran unarmed).
 
 Telemetry is **zero-overhead when off**: the module-level :data:`NULL`
 emitter is disabled, its :meth:`Telemetry.span` returns a shared no-op

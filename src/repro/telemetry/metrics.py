@@ -187,6 +187,18 @@ class CampaignSummary:
     planning_rounds: int = 0
     trials_planned: int = 0
     trials_saved: int = 0
+    #: uarch trials the liveness oracle judged, and those whose fault it
+    #: proved never read (run unarmed, as fault-free replays).
+    liveness_judged: int = 0
+    dead_faults: int = 0
+
+    @property
+    def dead_fault_share(self) -> float | None:
+        """Share of judged uarch trials whose fault was proven never read;
+        ``None`` for streams without liveness events."""
+        if not self.liveness_judged:
+            return None
+        return self.dead_faults / self.liveness_judged
 
     @property
     def replayed_share(self) -> float | None:
@@ -260,6 +272,9 @@ def summarize_events(events: list[dict]) -> CampaignSummary:
                 s.cache_hits += 1
             else:
                 s.cache_misses += 1
+        elif kind == "liveness":
+            s.liveness_judged += 1
+            s.dead_faults += bool(e.get("dead"))
         elif kind == "kernels":
             for kernel, counters in (e.get("kernels") or {}).items():
                 roll = s.kernels.setdefault(kernel, {})
@@ -365,4 +380,9 @@ def render_summary(s: CampaignSummary) -> str:
         if s.replayed_share is not None:
             lines.append(f"  launch replay      {s.replayed_share:.1%} of "
                          f"launches replayed from the golden run")
+    if s.dead_fault_share is not None:
+        lines.append(f"  dead faults        {s.dead_faults} of "
+                     f"{s.liveness_judged} trial(s) "
+                     f"({s.dead_fault_share:.1%}) proven never read, run "
+                     f"unarmed")
     return "\n".join(lines)

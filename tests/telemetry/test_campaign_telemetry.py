@@ -154,17 +154,32 @@ def test_results_bit_identical_with_telemetry_on_and_off(tmp_path,
 
 def test_kernel_rollup_counts_replayed_launches(tmp_cache, tmp_path, gv100):
     """Multi-launch trials replay golden launches; the kernels rollup
-    counts them and the summary reports their share."""
+    counts them and the summary reports their share. Without the
+    liveness log every injected launch simulates; with it, these four RF
+    faults are proven dead and their trials replay every launch."""
+    import dataclasses
+
     from repro.telemetry import summarize_events
 
     spec = CampaignSpec(level="uarch", app="bfs", kernel="bfs_k1",
                         structure="rf", config=gv100, trials=4, seed=11)
-    with TelemetrySession(tmp_path / "bfs.jsonl") as session:
-        run_campaign(spec, telemetry_session=session)
-    events = read_events(tmp_path / "bfs.jsonl")
-    rollups = [e["kernels"] for e in events if e["kind"] == "kernels"]
-    assert len(rollups) == 4
-    for rollup in rollups:
-        assert all(0 <= r["replayed"] <= r["launches"]
-                   for r in rollup.values())
-    assert 0 < summarize_events(events).replayed_share < 1
+    profile = profile_app(get_application("bfs"), gv100)
+    summaries = {}
+    for name, prof in (("armed", dataclasses.replace(profile,
+                                                     liveness=None)),
+                       ("oracle", profile)):
+        with TelemetrySession(tmp_path / f"{name}.jsonl") as session:
+            run_campaign(spec.derive(use_cache=False), profile=prof,
+                         telemetry_session=session)
+        events = read_events(tmp_path / f"{name}.jsonl")
+        rollups = [e["kernels"] for e in events if e["kind"] == "kernels"]
+        assert len(rollups) == 4
+        for rollup in rollups:
+            assert all(0 <= r["replayed"] <= r["launches"]
+                       for r in rollup.values())
+        summaries[name] = summarize_events(events)
+    assert 0 < summaries["armed"].replayed_share < 1
+    assert summaries["armed"].dead_fault_share is None
+    assert summaries["oracle"].replayed_share == 1
+    assert (summaries["oracle"].dead_faults
+            == summaries["oracle"].liveness_judged == 4)
