@@ -3,7 +3,7 @@ control-path proxies, and text report rendering."""
 
 from repro.analysis.trends import TrendComparison, compare_trends
 from repro.analysis.utilization import normalized_pair, kernel_metrics
-from repro.analysis.reuse import RegisterReuseAnalyzer, TraceRecorder
+from repro.analysis.reuse import RegisterReuseAnalyzer
 from repro.analysis.control_path import control_path_rate
 from repro.analysis.report import bar, format_table, stacked_row
 
@@ -13,7 +13,6 @@ __all__ = [
     "normalized_pair",
     "kernel_metrics",
     "RegisterReuseAnalyzer",
-    "TraceRecorder",
     "control_path_rate",
     "bar",
     "format_table",

@@ -3,55 +3,59 @@
 The paper proposes augmenting software-level fault injection with a
 *register reuse analyzer*: a fault placed in a register should affect every
 subsequent instruction that reads the register until it is next written.
-This module implements that analyzer over a dynamic trace of the simulator:
-for every dynamic register write it counts how many dynamic reads consume
-the value before it is overwritten — the replication factor that a
-single-instruction fault model under-counts.
+This module implements that analyzer over the golden run's access log
+(:mod:`repro.sim.access_log`): for every dynamic register write it counts
+how many dynamic reads consume the value before it is overwritten — the
+replication factor that a single-instruction fault model under-counts.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fi.campaign import profile_app
 
-class TraceRecorder:
-    """GPU tracer hook collecting per-warp dynamic register def/use events.
 
-    Attach as ``gpu.tracer`` for an analysis run; cost is paid only when
-    tracing (campaigns never enable it).
+def reads_per_write(launches) -> dict[int, list[int]]:
+    """Read counts of the values each program index wrote, from the
+    :class:`~repro.sim.access_log.LaunchAccesses` of one run.
+
+    Values live per (warp uid, register), not per lane. An issue whose
+    guard mask is empty touches nothing; any other reads every source
+    register of its instruction, then writes every destination, which
+    ends the value it overwrites. Values still live at the end count the
+    reads seen so far. Program indices of all launches share one key.
     """
-
-    def __init__(self):
-        # (warp_uid, reg) -> (static instr index of last write, read count)
-        self._last_write: dict[tuple[int, int], list] = {}
-        # static instr index -> list of read counts of the values it produced
-        self.reads_per_write: dict[int, list[int]] = defaultdict(list)
-        self.dynamic_instructions = 0
-
-    def record(self, instr_index: int, instr, warp, gm: np.ndarray) -> None:
-        if not gm.any():
-            return
-        self.dynamic_instructions += 1
-        uid = warp.uid
-        for reg in instr.source_registers():
-            entry = self._last_write.get((uid, reg))
-            if entry is not None:
-                entry[1] += 1
-        for reg in instr.dest_registers():
-            key = (uid, reg)
-            prev = self._last_write.get(key)
-            if prev is not None:
-                self.reads_per_write[prev[0]].append(prev[1])
-            self._last_write[key] = [instr_index, 0]
-
-    def finish(self) -> None:
-        """Flush still-live values (reads observed so far count)."""
-        for (uid, reg), (idx, reads) in self._last_write.items():
-            self.reads_per_write[idx].append(reads)
-        self._last_write.clear()
+    warp, reg, seq, pc = [], [], [], []
+    offset = 0
+    for log in launches:
+        issued = np.flatnonzero(log.mask.any(axis=1))
+        for kind, table in enumerate(log.tables):  # reads, then writes
+            rows, regs = np.nonzero(table[log.pc[issued]])
+            at = issued[rows]
+            warp.append(log.warp[at])
+            reg.append(regs)
+            seq.append(2 * (offset + at) + kind)
+            pc.append(log.pc[at])
+        offset += log.pc.size
+    if not seq:
+        return {}
+    order = np.lexsort((np.concatenate(seq), np.concatenate(reg),
+                        np.concatenate(warp)))
+    warp, reg, seq, pc = (np.concatenate(a)[order]
+                          for a in (warp, reg, seq, pc))
+    index = np.arange(order.size)
+    is_write = (seq & 1).astype(bool)
+    first = np.ones(order.size, dtype=bool)  # first access of its key
+    first[1:] = (warp[1:] != warp[:-1]) | (reg[1:] != reg[:-1])
+    key_start = np.maximum.accumulate(np.where(first, index, 0))
+    last_write = np.maximum.accumulate(np.where(is_write, index, -1))
+    counted = ~is_write & (last_write >= key_start)
+    reads = np.bincount(last_write[counted], minlength=order.size)[is_write]
+    writer = pc[is_write]
+    return {int(p): reads[writer == p].tolist() for p in np.unique(writer)}
 
 
 @dataclass
@@ -72,32 +76,20 @@ class ReuseReport:
 
 
 class RegisterReuseAnalyzer:
-    """Runs an application under tracing and aggregates reuse statistics."""
+    """Aggregates reuse statistics from an application's golden run."""
 
     def __init__(self, config):
         self.config = config
 
     def analyze(self, app) -> ReuseReport:
-        from repro.sim.gpu import GPU
-
-        gpu = GPU(self.config)
-        recorder = TraceRecorder()
-        gpu.tracer = recorder
-        try:
-            app.run(gpu)
-        finally:
-            gpu.tracer = None
-        recorder.finish()
-        all_counts: list[int] = []
-        per_instruction: dict[int, float] = {}
-        for idx, counts in recorder.reads_per_write.items():
-            per_instruction[idx] = float(np.mean(counts))
-            all_counts.extend(counts)
-        if not all_counts:
+        counts = reads_per_write(
+            profile_app(app, self.config).liveness.launches)
+        if not counts:
             return ReuseReport()
-        arr = np.asarray(all_counts)
+        arr = np.concatenate(list(counts.values()))
         return ReuseReport(
-            per_instruction=per_instruction,
+            per_instruction={idx: float(np.mean(c))
+                             for idx, c in counts.items()},
             mean_reads_per_write=float(arr.mean()),
             fraction_multi_read=float((arr >= 2).mean()),
             fraction_dead_write=float((arr == 0).mean()),

@@ -121,7 +121,7 @@ from repro.fi.runner import ProgressFn, WorkerProgressFn, execute_trials
 import repro.fi.svf_modes as svf_modes
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
 from repro.log import get_logger
-from repro.sim.access_log import AccessRecorder
+from repro.sim.access_log import GoldenRecorder
 from repro.sim.gpu import GPU
 from repro.telemetry.events import (
     NULL,
@@ -167,6 +167,9 @@ def _matches_kernel(launch_name: str, kernel: str) -> bool:
 class AppProfile:
     """Fault-free profile of one application on one configuration.
 
+    ``app_name``, ``app_seed``, ``config_name`` and ``harness`` (its
+    harness factory, ``None``: the plain one) identify the golden run.
+
     ``checkpoints`` is the golden launch memo (one
     :class:`~repro.sim.replay.Checkpoint` per launch): trial GPUs replay
     every launch that starts from the golden state instead of simulating
@@ -178,7 +181,9 @@ class AppProfile:
     """
 
     app_name: str
+    app_seed: int
     config_name: str
+    harness: object
     launches: list[dict]  # per-launch: index,name,cycles,injectable,...
     golden: dict  # output name -> ndarray
     total_cycles: int
@@ -207,6 +212,14 @@ class AppProfile:
     def kernel_loads(self, kernel: str) -> int:
         return sum(l["injectable_loads"] for l in self.kernel_launches(kernel))
 
+    def describes(self, app, config, harness_factory) -> bool:
+        """Whether trials of ``app`` on ``config`` under
+        ``harness_factory`` run what the golden run ran, so that its memo
+        and access log apply to them."""
+        return (self.app_name == app.name and self.app_seed == app.seed
+                and self.config_name == config.name
+                and self.harness is harness_factory)
+
 
 def profile_app(
     app: GPUApplication,
@@ -215,8 +228,7 @@ def profile_app(
 ) -> AppProfile:
     """Run the application fault-free and collect its profile."""
     gpu = GPU(config)
-    gpu.recorder = []
-    gpu.access_log = AccessRecorder()
+    recorder = gpu.tracer = GoldenRecorder()
     harness = harness_factory() if harness_factory else DeviceHarness()
     golden = app.run(gpu, harness)
     harness.finalize(gpu)
@@ -239,15 +251,15 @@ def profile_app(
         stats_by_launch.append(rec.stats.snapshot(config))
     return AppProfile(
         app_name=app.name,
+        app_seed=app.seed,
         config_name=config.name,
+        harness=harness_factory,
         launches=launches,
         golden=golden,
         total_cycles=sum(l["cycles"] for l in launches),
         stats_by_launch=stats_by_launch,
-        checkpoints=tuple(gpu.recorder),
-        liveness=RFLiveness(app.name, app.seed, config.name, harness_factory,
-                            config.warp_size,
-                            tuple(gpu.access_log.launches)),
+        checkpoints=tuple(recorder.checkpoints),
+        liveness=RFLiveness(config.warp_size, tuple(recorder.launches)),
     )
 
 
@@ -656,6 +668,11 @@ def run_campaign(
             with tel.span("golden_run"):
                 profile = (profile_supplier() if profile_supplier is not None
                            else profile_app(app, config, harness_factory))
+        if not profile.describes(app, config, harness_factory):
+            # Another run's memo and access log say nothing about these
+            # trials: simulate every launch and arm every fault.
+            profile = dataclasses.replace(profile, checkpoints=(),
+                                          liveness=None)
         if not profile.kernel_launches(kernel):
             raise PlanningError(
                 f"{app.name} has no launches of kernel {kernel!r}")
@@ -875,13 +892,12 @@ def _gpu_factory(profile: AppProfile, config: GPUConfig):
     processes, and post-crash replacement — a trial that blew up may have
     left the device corrupted), replaying the profile's golden launches."""
     watchdog = trial_cycle_budget(profile)
-    memo = profile.checkpoints if profile.config_name == config.name else ()
 
     def factory() -> GPU:
         gpu = GPU(config)
         gpu.cycle_budget_fn = _budget_fn(profile, config)
         gpu.trial_cycle_budget = watchdog
-        gpu.replay = memo
+        gpu.replay = profile.checkpoints
         return gpu
 
     return factory
@@ -928,10 +944,7 @@ def _injection_trial_fn(app, profile, config, harness_factory, plan_fn,
                                            # unless a spec opts in
 
     injector_attr, injector_cls = level.injector_attr, level.injector_cls
-    liveness = profile.liveness
-    if (level.kind != "uarch" or liveness is None
-            or not liveness.describes(app, config, harness_factory)):
-        liveness = None
+    liveness = profile.liveness if level.kind == "uarch" else None
 
     def trial_fn(gpu: GPU, trial_seed: int):
         tel = current_telemetry()

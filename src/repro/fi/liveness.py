@@ -7,8 +7,8 @@ fault-free one. :class:`RFLiveness` proves it from the golden run alone,
 so the campaign runs the trial without arming the fault and every launch
 replays from the golden memo (:mod:`repro.sim.replay`).
 
-The fault-free profiling run records a register-file access log
-(:mod:`repro.sim.access_log`): per launch, every issue's clock, warp,
+The fault-free profiling run's golden recorder logs the register file's
+accesses (:mod:`repro.sim.access_log`): per launch, every issue's clock, warp,
 program index and guard mask, and every CTA's SM, host clock and retire
 clock. For a plan it can judge, the oracle
 
@@ -46,61 +46,37 @@ Only transient, non-ECC, storage-target RF plans are judged. Persistent
 models re-pin their bits against every later write, ECC plans are
 corrected or raise a DUE when they fire, control-state sites are read by
 the scheduler every cycle, and SMEM windows and cache lines have no
-per-issue log here; every other plan simulates as before. A log built for
-another application, configuration or harness judges nothing.
+per-issue log here; every other plan simulates as before. The campaign
+consults the oracle only when the profile describes the trials' own
+application, configuration and harness
+(:meth:`repro.fi.campaign.AppProfile.describes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.arch.structures import Structure
 from repro.fi.gpufi import MicroarchFaultPlan, draw_site
-from repro.isa.program import Program
 from repro.sim.access_log import LaunchAccesses
 from repro.utils.rng import derive_rng
 
 
-def _access_tables(program: Program) -> tuple[np.ndarray, np.ndarray]:
-    """``(reads, writes)``: boolean ``[program index, register]`` tables of
-    the general-purpose registers each instruction reads and writes."""
-    shape = (len(program), max(program.num_regs, 1))
-    reads = np.zeros(shape, dtype=bool)
-    writes = np.zeros(shape, dtype=bool)
-    for pc, instr in enumerate(program):
-        reads[pc, list(instr.source_registers())] = True
-        writes[pc, list(instr.dest_registers())] = True
-    return reads, writes
-
-
 @dataclass(frozen=True, eq=False)
 class RFLiveness:
-    """The golden run's register-file access log and the identity of the
-    run it describes (see the module docstring)."""
+    """The golden run's register-file access log (see the module
+    docstring)."""
 
-    app: str
-    app_seed: int
-    config: str
-    #: The golden run's harness factory (``None``: the plain harness).
-    harness: object
     warp_size: int
     launches: tuple[LaunchAccesses, ...]
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the log's arrays."""
         return sum(a.nbytes for log in self.launches
                    for a in vars(log).values() if isinstance(a, np.ndarray))
-
-    def describes(self, app, config, harness_factory) -> bool:
-        """Whether trials of ``app`` on ``config`` under
-        ``harness_factory`` run what the logged run ran."""
-        return (self.app == app.name and self.app_seed == app.seed
-                and self.config == config.name
-                and self.harness is harness_factory)
 
     def is_dead(self, plan) -> bool:
         """Whether every bit ``plan`` flips is provably never read."""
@@ -159,11 +135,7 @@ class RFLiveness:
         the issue step at ``now`` is a write, or there is none."""
         after = np.flatnonzero((log.warp == warp) & (log.clock > now))
         on = (log.mask[after, lane >> 3] >> (lane & 7)) & 1
-        tables = self._tables.get(id(log.program))
-        if tables is None:
-            tables = self._tables[id(log.program)] = _access_tables(
-                log.program)
-        reads, writes = tables
+        reads, writes = log.tables
         pcs = log.pc[after]
         read = reads[pcs, reg]
         touched = on.astype(bool) & (read | writes[pcs, reg])

@@ -10,7 +10,10 @@ the kernel has drained). Fault-injection hooks:
   re-armed (and re-bound to the launch's live state) on every later launch.
 * ``sw_injector`` — receives an ``after_write`` callback for every dynamic
   instruction that produces a general-purpose destination value.
-* ``tracer`` — optional dynamic-trace consumer (register-reuse analysis).
+* ``tracer`` — optional :class:`Tracer` observing every simulated launch
+  (the golden run's :class:`~repro.sim.access_log.GoldenRecorder` builds
+  the replay memo and the register-file access log this way). An
+  attached tracer turns launch replay off.
 * ``cycle_budget_fn`` — per-launch cycle budget (timeout detection), set by
   the campaign harness from the fault-free profile.
 * ``trial_cycle_budget`` — cross-launch watchdog: total cycles one app run
@@ -26,13 +29,6 @@ the kernel has drained). Fault-injection hooks:
   restored and the record carries a copy of the golden statistics
   (``replayed=True``).
   Every other launch is simulated. See :mod:`repro.sim.replay`.
-* ``recorder`` — a list that, when set, receives one checkpoint per
-  launch (the fault-free profiling run builds the memo this way).
-* ``access_log`` — an :class:`~repro.sim.access_log.AccessRecorder` that,
-  when set, receives every issue and CTA residency change and packs one
-  register-file access log per completed launch (the profiling run feeds
-  the liveness oracle of :mod:`repro.fi.liveness` this way). Like a
-  tracer, it turns launch replay off.
 
 Compiled kernels are cached per GPU, keyed on the program object and the
 encoded launch parameters (the constant bank), so a trial rebuilds no
@@ -51,12 +47,7 @@ from repro.isa.program import Program
 from repro.sim.cache import Cache, DRAMInterface
 from repro.sim.executor import CompiledKernel
 from repro.sim.memory import GlobalMemory
-from repro.sim.replay import (
-    allocation_counters,
-    checkpoint,
-    replay_launch,
-    state_digest,
-)
+from repro.sim.replay import replay_launch
 from repro.sim.sm import SM
 from repro.sim.stats import LaunchStats
 from repro.sim.warp import CTA
@@ -112,6 +103,26 @@ class LaunchRecord:
         return self.stats.cycles
 
 
+class Tracer:
+    """Observer of simulated launches (``GPU.tracer``); no-ops here."""
+
+    def begin_launch(self, gpu, launch, program) -> None:
+        """Before ``launch`` (a :class:`KernelLaunch`) is simulated."""
+
+    def record(self, now, pc, instr, warp, gm) -> None:
+        """After ``warp`` issued ``instr`` (at ``pc``, clock ``now``, guard
+        mask ``gm``)."""
+
+    def host(self, sm_index, cta, now) -> None:
+        """After SM ``sm_index`` hosted ``cta`` and allocated its warps."""
+
+    def retire(self, cta, now) -> None:
+        """After ``cta`` retired and its register banks were freed."""
+
+    def end_launch(self, gpu, record) -> None:
+        """After the launch completed with ``record`` (a LaunchRecord)."""
+
+
 def _encode_param(p) -> int:
     if isinstance(p, Buffer):
         return p.addr
@@ -144,11 +155,9 @@ class GPU:
         # Hooks
         self.uarch_injector = None
         self.sw_injector = None
-        self.tracer = None
+        self.tracer: Tracer | None = None
         self.cycle_budget_fn = None
         self.replay: tuple = ()
-        self.recorder: list | None = None
-        self.access_log = None
         self._kernels: dict[tuple, CompiledKernel] = {}
         # Trial watchdog (see module docstring): cumulative cycle budget
         # across every launch of one app run, and the cycles already burnt
@@ -240,8 +249,8 @@ class GPU:
         if sw is not None:
             sw.begin_launch(launch_index, kernel_name)
 
-        if (self.replay and plan is None and self.tracer is None
-                and self.access_log is None
+        tracer = self.tracer
+        if (self.replay and plan is None and tracer is None
                 and not (sw is not None and sw.active)):
             stats = replay_launch(self, launch_index, launch, program, budget)
             if stats is not None:
@@ -252,9 +261,8 @@ class GPU:
                 self.launch_records.append(record)
                 return record
 
-        recorder = self.recorder
-        if recorder is not None:
-            digest, counters = state_digest(self), allocation_counters(self)
+        if tracer is not None:
+            tracer.begin_launch(self, launch, program)
 
         self.kernel = self._compiled(program, encoded)
         stats = LaunchStats(
@@ -314,11 +322,8 @@ class GPU:
         record = LaunchRecord(launch_index, launch, stats, program.name)
         self._collect_cache_stats(stats)
         self.launch_records.append(record)
-        if recorder is not None:
-            recorder.append(checkpoint(self, digest, counters, launch,
-                                       program, stats))
-        if self.access_log is not None:
-            self.access_log.end_launch(program)
+        if tracer is not None:
+            tracer.end_launch(self, record)
         return record
 
     def _compiled(self, program: Program,

@@ -1,12 +1,14 @@
 """Golden launch replay: skip launches that start from the golden state.
 
-A fault-free run records one :class:`Checkpoint` per kernel launch: a
-digest of the device state the launch starts from, the launch itself,
-and everything the launch leaves behind. A later run on the same
-configuration whose launch ``i`` has the same arguments and starts from
-a state with the same digest would simulate exactly what the golden run
-simulated, so :func:`replay_launch` restores the golden post-launch
-state and hands back a copy of the golden statistics instead.
+A fault-free run records, through its
+:class:`~repro.sim.access_log.GoldenRecorder`, one :class:`Checkpoint`
+per kernel launch: a digest of the device state the launch starts from,
+the launch itself, and everything the launch leaves behind. A later run
+on the same configuration whose launch ``i`` has the same arguments and
+starts from a state with the same digest would simulate exactly what the
+golden run simulated, so :func:`replay_launch` restores the golden
+post-launch state and hands back a copy of the golden statistics
+instead.
 
 Soundness rests on three facts of the simulator:
 
@@ -79,22 +81,6 @@ def allocation_counters(gpu) -> tuple[int, ...]:
     for sm in gpu.sms:
         counters += (sm.rf._next_uid, sm.smem._next_uid)
     return tuple(counters)
-
-
-def checkpoint(gpu, digest: bytes, counters_before: tuple[int, ...],
-               launch, program: Program, stats: LaunchStats) -> Checkpoint:
-    """Capture the state a just-finished launch left behind."""
-    after = allocation_counters(gpu)
-    return Checkpoint(
-        digest=digest,
-        launch=launch,
-        program=program,
-        heap=gpu.mem.data[: gpu.mem.written_end].copy(),
-        l2=gpu.l2.save_state(),
-        counters=tuple(a - b for a, b in zip(after, counters_before)),
-        cursors=scheduler_cursors(gpu),
-        stats=stats.copy(),
-    )
 
 
 def replay_launch(gpu, index: int, launch, program: Program,

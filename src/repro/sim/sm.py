@@ -75,9 +75,9 @@ class SM:
             cta.warps.append(warp)
             self.warps.append(warp)
         self.ctas.append(cta)
-        log = self.gpu.access_log
-        if log is not None:
-            log.host(self.index, cta, self.gpu.now)
+        tracer = self.gpu.tracer
+        if tracer is not None:
+            tracer.host(self.index, cta, self.gpu.now)
 
     def retire_cta(self, cta: CTA) -> None:
         for warp in cta.warps:
@@ -88,9 +88,9 @@ class SM:
             cta.smem = None
         self.ctas.remove(cta)
         self._rr = 0
-        log = self.gpu.access_log
-        if log is not None:
-            log.retire(cta, self.gpu.now)
+        tracer = self.gpu.tracer
+        if tracer is not None:
+            tracer.retire(cta, self.gpu.now)
 
     # ------------------------------------------------------------------ #
     # Issue
@@ -253,8 +253,5 @@ class SM:
 
         tracer = gpu.tracer
         if tracer is not None:
-            tracer.record(cur, instr, warp, gm)
-        log = gpu.access_log
-        if log is not None:
-            log.issue((now, warp.uid, cur, gm))
+            tracer.record(now, cur, instr, warp, gm)
         return latency

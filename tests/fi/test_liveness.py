@@ -28,6 +28,7 @@ from repro.fi.planner import StopRule
 from repro.hardening.registry import hardening_scheme
 from repro.kernels import application_names, get_application
 from repro.kernels.base import DeviceHarness
+from repro.sim.gpu import Tracer
 from repro.telemetry import read_events, summarize_events
 from repro.telemetry.events import TelemetrySession
 from repro.utils.rng import derive_rng, spawn_seeds
@@ -129,7 +130,7 @@ class _Stop(Exception):
     """Ends a site-reconstruction run once its answer is known."""
 
 
-class _FirstAccess:
+class _FirstAccess(Tracer):
     """GPU tracer, attached at the flip: the kind of the target warp's
     first issue that reads or writes the flipped register lane."""
 
@@ -137,9 +138,9 @@ class _FirstAccess:
         self.site = None  # (fire clock, warp uid, [(reg, lane), ...])
         self.first = None
 
-    def record(self, pc, instr, warp, gm):
-        now, uid, cells = self.site
-        if warp.uid != uid or warp.cta.sm.gpu.now <= now:
+    def record(self, now, pc, instr, warp, gm):
+        fire, uid, cells = self.site
+        if warp.uid != uid or now <= fire:
             return
         reg, lane = cells[0]
         if gm[lane]:
@@ -256,13 +257,12 @@ def test_ecc_persistent_control_and_non_rf_plans_are_never_disarmed():
 
 def test_a_log_of_another_run_judges_nothing(tmp_path, monkeypatch):
     va = get_application("va")
-    liveness = _profile("va").liveness
-    assert liveness.describes(va, GV100, None)
-    assert not liveness.describes(get_application("scp"), GV100, None)
-    assert not liveness.describes(va, tesla_v100_like(), None)
-    assert not liveness.describes(va, GV100, hardening_scheme("tmr"))
-    assert not liveness.describes(get_application("va", seed=1), GV100,
-                                  None)
+    plain = _profile("va")
+    assert plain.describes(va, GV100, None)
+    assert not plain.describes(get_application("scp"), GV100, None)
+    assert not plain.describes(va, tesla_v100_like(), None)
+    assert not plain.describes(va, GV100, hardening_scheme("tmr"))
+    assert not plain.describes(get_application("va", seed=1), GV100, None)
     # A profile of another harness judges no trial: a TMR campaign on
     # the plain profile runs every fault armed.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

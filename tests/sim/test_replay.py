@@ -11,6 +11,8 @@ from repro.errors import SimTimeout
 from repro.fi.gpufi import MicroarchFaultPlan, MicroarchInjector
 from repro.isa import assemble
 from repro.sim import GPU
+from repro.sim.access_log import GoldenRecorder
+from repro.sim.gpu import Tracer
 from repro.sim.memory import GlobalMemory
 from repro.sim.replay import state_digest
 
@@ -93,9 +95,9 @@ def _pipeline(gpu, launches=3):
 
 def _golden(config, launches=3):
     gpu = GPU(config)
-    gpu.recorder = []
+    recorder = gpu.tracer = GoldenRecorder()
     _pipeline(gpu, launches)
-    return gpu, tuple(gpu.recorder)
+    return gpu, tuple(recorder.checkpoints)
 
 
 def _stats(gpu):
@@ -225,16 +227,13 @@ def test_injected_and_persistent_launches_are_never_replayed(gv100):
 
 
 def test_tracer_disables_replay(gv100):
-    class Tracer:
-        def record(self, *args):
-            pass
-
     _, memo = _golden(gv100)
-    trial = GPU(gv100)
-    trial.replay = memo
-    trial.tracer = Tracer()
-    _pipeline(trial)
-    assert not any(r.replayed for r in trial.launch_records)
+    for tracer in (Tracer(), GoldenRecorder()):
+        trial = GPU(gv100)
+        trial.replay = memo
+        trial.tracer = tracer
+        _pipeline(trial)
+        assert not any(r.replayed for r in trial.launch_records)
 
 
 class _StallPlan:
@@ -325,9 +324,9 @@ def test_stale_scheduler_cursor_is_simulated(gv100):
         return gpu.memcpy_dtoh(out)
 
     golden = GPU(gv100)
-    golden.recorder = []
+    recorder = golden.tracer = GoldenRecorder()
     want = race(golden)
-    memo = tuple(golden.recorder)
+    memo = tuple(recorder.checkpoints)
     runs = []
     for replay in (memo, ()):
         trial = GPU(gv100)

@@ -16,16 +16,17 @@ from hypothesis import strategies as st
 from repro.arch.config import quadro_gv100_like
 from repro.isa import assemble
 from repro.sim import GPU
+from repro.sim.gpu import Tracer
 from repro.staticanalysis import instr_defs, instr_uses, liveness
 
 
-class LaneTracer:
+class LaneTracer(Tracer):
     """Collects ``(instr_index, instr, guard_mask)`` issue events."""
 
     def __init__(self):
         self.events = []
 
-    def record(self, instr_index, instr, warp, gm) -> None:
+    def record(self, now, instr_index, instr, warp, gm) -> None:
         self.events.append((instr_index, instr, gm.copy()))
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.arch.config import quadro_gv100_like
 from repro.isa.instruction import RZ, SpecialReg
 from repro.kernels.registry import all_applications, get_application
-from repro.sim.gpu import GPU
+from repro.sim.gpu import GPU, Tracer
 from repro.staticanalysis.absint import analyze
 from repro.staticanalysis.launches import RecordingHarness
 
@@ -28,7 +28,7 @@ _SYM_SPECIALS = (
 )
 
 
-class AddressTracer:
+class AddressTracer(Tracer):
     """Checks every dynamic lane address against the static value sets.
 
     ``record`` fires *after* each instruction executes, so a per-warp
@@ -47,7 +47,7 @@ class AddressTracer:
         self.interp = analyze(program, ctx)
         self._shadow.clear()
 
-    def record(self, cur, instr, warp, gm):
+    def record(self, now, cur, instr, warp, gm):
         pre = self._shadow.get(warp.uid)
         if instr.info.is_memory and gm is not None and gm.any() \
                 and len(self.failures) < 5:
