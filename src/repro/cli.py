@@ -14,18 +14,20 @@ Usage::
     python -m repro.cli campaign run va --ci-halfwidth 0.05 --budget 512
     python -m repro.cli campaign plan --budget 4000
     python -m repro.cli campaign run va --workers 4 --trace out.json
+    python -m repro.cli campaign run va --telemetry     # prints "key: <key>"
+    python -m repro.cli campaign report <key>
     python -m repro.cli campaign report .repro_cache/telemetry/<key>.jsonl
     python -m repro.cli campaign status
     python -m repro.cli campaign run kmeans --level uarch --sdc-anatomy
     python -m repro.cli campaign ls --app va --level uarch
     python -m repro.cli campaign history va --structure rf
-    python -m repro.cli campaign show <campaign key>
-    python -m repro.cli campaign watch <campaign key>
+    python -m repro.cli campaign show <key>
+    python -m repro.cli campaign watch .repro_cache/journal/<key>.jsonl
     python -m repro.cli campaign backfill
     python -m repro.cli campaign gc --yes
     python -m repro.cli perf record nightly <key> --out baseline.json
-    python -m repro.cli perf check <key> --baseline baseline.json --bench .
-    python -m repro.cli sdc profile <campaign key> --by site
+    python -m repro.cli perf check events.jsonl --baseline baseline.json
+    python -m repro.cli sdc profile .repro_cache/<key>.json --by site
     python -m repro.cli sdc report
 
 The underlying campaigns cache under ``.repro_cache/``, so repeated
@@ -43,12 +45,20 @@ before ``--min-trials``), with ``--budget`` as the trial ceiling;
 global microarch budget would split across (app, kernel, structure)
 cells from static-ACE and software-pilot priors.
 
+Every campaign is named by its cache key, which ``campaign run`` prints.
+Key-taking subcommands (``campaign report|show|watch``, ``perf
+record|check``, ``sdc profile``) accept the key or the path of any of the
+campaign's files: its result ``.repro_cache/<key>.json``, its journal
+``.repro_cache/journal/<key>.jsonl`` or its telemetry event stream (the
+events name their campaign, so ``--events`` streams resolve too).
+
 Campaign observability: ``campaign run --telemetry`` streams structured
-events (phase timers, per-trial outcomes, worker utilization) to a JSONL
-file; ``--trace out.json`` additionally exports a Chrome ``trace_event``
-file loadable in chrome://tracing or https://ui.perfetto.dev. ``campaign
-report`` renders an event stream (or the key/journal that names one) as
-a throughput / phase / utilization / outcome summary table.
+events (phase timers, per-trial outcomes, worker utilization) to the
+campaign's own ``.repro_cache/telemetry/<key>.jsonl`` (``--events PATH``
+picks another file); ``--trace out.json`` additionally exports a Chrome
+``trace_event`` file loadable in chrome://tracing or
+https://ui.perfetto.dev. ``campaign report`` renders the stream as a
+throughput / phase / utilization / outcome summary table.
 """
 
 from __future__ import annotations
@@ -318,11 +328,12 @@ def _parse_workers_arg(value: str) -> int:
 def _cmd_campaign_run(args) -> int:
     from repro.analysis.report import rate_with_ci
     from repro.errors import ReproError
-    from repro.fi import CampaignSpec, FaultOutcome, StopRule, run_campaign
+    from repro.fi import (CampaignSpec, FaultOutcome, StopRule,
+                          campaign_key, run_campaign)
     from repro.fi.runner import resolve_workers
     from repro.kernels import get_application
-    from repro.telemetry import (TelemetrySession, read_events, telemetry_dir,
-                                 write_trace)
+    from repro.locator import events_path
+    from repro.telemetry import TelemetrySession, read_events, write_trace
 
     try:
         app = get_application(args.app)
@@ -341,12 +352,9 @@ def _cmd_campaign_run(args) -> int:
         label += f"/{args.harden}"
     reporter = None if args.quiet else _CampaignProgress(label)
     telemetry_on = bool(args.telemetry or args.trace or args.events)
-    session = None
-    if telemetry_on:
-        events_path = args.events or (
-            telemetry_dir()
-            / f"{args.app}-{kernel}-{args.level}-s{args.seed}.jsonl")
-        session = TelemetrySession(events_path)
+    # Without --events the campaign writes its own key-named stream, and
+    # only when it runs: a cache hit leaves an earlier stream intact.
+    session = TelemetrySession(args.events) if args.events else None
     # Control-target campaigns pick their own parallelism-management
     # sites; --structure only applies to uarch storage campaigns.
     structure = (args.structure
@@ -402,11 +410,13 @@ def _cmd_campaign_run(args) -> int:
         if session is not None:
             session.close()
     counts = result.counts
+    key = campaign_key(spec)
     planned = (f" of {result.planned_trials} planned"
                if result.planned_trials is not None
                and result.planned_trials != result.trials else "")
     print(f"{label} on {result.config_name}: "
           f"{result.trials} trials{planned}, seed {result.seed}")
+    print(f"  key: {key}")
     if stop_rule is not None:
         achieved = stop_rule.achieved(counts)
         reached = achieved if achieved is not None else float("inf")
@@ -425,17 +435,18 @@ def _cmd_campaign_run(args) -> int:
         print(f"  sdc severity: {anatomy['critical']} critical, "
               f"{anatomy['tolerable']} tolerable "
               f"(see 'repro.cli sdc profile')")
-    if session is not None:
-        if session.events_written > 1:
-            print(f"  telemetry: {session.events_written} event(s) "
-                  f"-> {session.path}")
+    if telemetry_on:
+        stream = session.path if session is not None else events_path(key)
+        events = read_events(stream)
+        if len(events) > 1:
+            print(f"  telemetry: {len(events)} event(s) -> {stream}")
             if args.trace:
-                trace_path = write_trace(read_events(session.path), args.trace)
+                trace_path = write_trace(events, args.trace)
                 print(f"  trace: {trace_path} "
                       f"(open in chrome://tracing or ui.perfetto.dev)")
         else:
-            # 0 or 1 events = the result came straight from the cache (at
-            # most the cache-hit marker was recorded); nothing to trace.
+            # No stream, or only the cache-hit marker: the result came
+            # straight from the cache of a run without telemetry.
             print("  telemetry: result served from the cache — re-run "
                   "with --no-cache to trace a live campaign")
     return 0
@@ -474,49 +485,41 @@ def _cmd_campaign_plan(args) -> int:
     return 0
 
 
-def _resolve_report_events(target: str):
-    """Map a ``campaign report`` target to its telemetry event stream.
+def _locate(target: str):
+    """The campaign files a command-line target names (see
+    :func:`repro.locator.locate`), or None with the error printed."""
+    from repro.locator import locate
 
-    Accepts the events ``.jsonl`` itself, a campaign journal path (the
-    sibling telemetry file is derived from its key), or a bare campaign
-    key looked up under ``<cache_dir>/telemetry/``. Returns a Path or
-    None (with the error printed).
-    """
-    from pathlib import Path
+    try:
+        return locate(target)
+    except LookupError as exc:
+        print(exc, file=sys.stderr)
+        return None
 
-    from repro.telemetry import telemetry_dir, telemetry_events_path
 
-    path = Path(target)
-    if path.is_file():
-        if path.parent.name == "journal":
-            sibling = telemetry_events_path(path.stem)
-            if sibling.is_file():
-                return sibling
-            print(f"{target} is a journal and {sibling} does not exist; "
-                  f"re-run the campaign with telemetry enabled",
-                  file=sys.stderr)
-            return None
-        return path
-    by_key = telemetry_events_path(path.stem)
-    if by_key.is_file():
-        return by_key
-    print(f"no telemetry event stream at {target} (or "
-          f"{by_key}); run 'campaign run --telemetry' first — streams "
-          f"live under {telemetry_dir()}", file=sys.stderr)
-    return None
+def _campaign_events(target: str):
+    """``(key, events)`` of the campaign a target names, or ``(None,
+    None)`` with the error printed when it has no event stream."""
+    from repro.telemetry import read_events
+
+    files = _locate(target)
+    if files is None:
+        return None, None
+    events = read_events(files.events)
+    if not events:
+        print(f"no telemetry event stream at {files.events} (campaign "
+              f"{files.key}); run 'campaign run --telemetry' first",
+              file=sys.stderr)
+        return None, None
+    return files.key, events
 
 
 def _cmd_campaign_report(args) -> int:
-    from repro.telemetry import read_events, render_summary, summarize_events
-    from repro.telemetry import write_trace
+    from repro.telemetry import render_summary, summarize_events, write_trace
 
-    events_path = _resolve_report_events(args.target)
-    if events_path is None:
+    _key, events = _campaign_events(args.target)
+    if events is None:
         return 2
-    events = read_events(events_path)
-    if not events:
-        print(f"{events_path} holds no events", file=sys.stderr)
-        return 1
     print(render_summary(summarize_events(events)))
     if args.trace:
         trace_path = write_trace(events, args.trace)
@@ -528,8 +531,9 @@ def _cmd_campaign_report(args) -> int:
 def _cmd_campaign_status(_args) -> int:
     from repro.fi import default_trials
     from repro.fi.campaign import CACHE_VERSION
-    from repro.fi.journal import cache_dir, journal_dir, list_journals
+    from repro.fi.journal import list_journals
     from repro.fi.runner import journal_validity
+    from repro.locator import cache_dir, journal_dir
 
     entries = list_journals()
     if entries:
@@ -641,23 +645,27 @@ def _cmd_campaign_history(args) -> int:
 
 
 def _cmd_campaign_show(args) -> int:
+    files = _locate(args.target)
+    if files is None:
+        return 2
     ledger = _open_ledger()
     if ledger is None:
         return 2
+    key = files.key
     with ledger:
-        row = ledger.get(args.key)
+        row = ledger.get(key)
         if row is None:
             matches = [r for r in ledger.runs()
-                       if r["cache_key"].startswith(args.key)]
+                       if r["cache_key"].startswith(key)]
             if len(matches) == 1:
                 row = matches[0]
             elif matches:
-                print(f"{args.key!r} is ambiguous: "
+                print(f"{key!r} is ambiguous: "
                       + ", ".join(m["cache_key"][:16] for m in matches),
                       file=sys.stderr)
                 return 2
         if row is None:
-            print(f"no recorded campaign {args.key!r}", file=sys.stderr)
+            print(f"no recorded campaign {key!r}", file=sys.stderr)
             return 1
         perf = ledger.perf_samples(row["cache_key"])
     import datetime
@@ -683,22 +691,21 @@ def _cmd_campaign_show(args) -> int:
 
 
 def _cmd_campaign_watch(args) -> int:
-    from pathlib import Path
-
     from repro.store import watch
 
-    key = Path(args.target).stem  # bare key, journal path, events path all
-                                  # reduce to the campaign key
-    snap = watch(key, interval=args.interval, once=args.once)
+    files = _locate(args.target)
+    if files is None:
+        return 2
+    snap = watch(files, interval=args.interval, once=args.once)
     if not snap.committed and not snap.running:
-        print(f"nothing to watch for {key!r}: no journal, no cached "
+        print(f"nothing to watch for {files.key!r}: no journal, no cached "
               f"result", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_campaign_backfill(args) -> int:
-    from repro.fi.journal import cache_dir
+    from repro.locator import cache_dir
     from repro.store import RunLedger, store_path
 
     with RunLedger(store_path()) as ledger:
@@ -712,8 +719,9 @@ def _cmd_campaign_backfill(args) -> int:
 def _cmd_campaign_gc(args) -> int:
     from repro.fi import default_trials
     from repro.fi.campaign import CACHE_VERSION
-    from repro.fi.journal import cache_dir, list_journals
+    from repro.fi.journal import list_journals
     from repro.fi.runner import journal_validity
+    from repro.locator import cache_dir, journal_path
 
     doomed: list = []  # (path, why)
     d = cache_dir()
@@ -724,7 +732,7 @@ def _cmd_campaign_gc(args) -> int:
         resumable, reason = journal_validity(
             info.meta, info.records, current_trials, CACHE_VERSION)
         if not resumable:
-            doomed.append((d / "journal" / f"{info.key}.jsonl",
+            doomed.append((journal_path(info.key),
                            f"stale journal ({reason})"))
     if not doomed:
         print("nothing to prune")
@@ -749,20 +757,15 @@ def _cmd_campaign_gc(args) -> int:
 
 
 def _perf_metrics_from_target(target: str):
-    """Resolve a ``perf`` target (events path / journal / key) to
-    ``(PerfMetrics, key)`` or ``(None, None)`` with the error printed."""
+    """``(PerfMetrics, key)`` of the campaign a ``perf`` target names, or
+    ``(None, None)`` with the error printed."""
     from repro.store import PerfMetrics
-    from repro.telemetry import read_events, summarize_events
+    from repro.telemetry import summarize_events
 
-    events_path = _resolve_report_events(target)
-    if events_path is None:
+    key, events = _campaign_events(target)
+    if events is None:
         return None, None
-    events = read_events(events_path)
-    if not events:
-        print(f"{events_path} holds no events", file=sys.stderr)
-        return None, None
-    return (PerfMetrics.from_summary(summarize_events(events)),
-            events_path.stem)
+    return PerfMetrics.from_summary(summarize_events(events)), key
 
 
 def _cmd_perf_record(args) -> int:
@@ -853,49 +856,30 @@ def _cmd_perf_ls(_args) -> int:
     return 0
 
 
-def _resolve_sdc_records(target: str):
-    """Map a ``sdc profile`` target to its anatomy records.
-
-    Accepts a campaign journal ``.jsonl``, a cached result ``.json``
-    payload, or a bare campaign key (looked up as a cached result first,
-    then as an in-flight journal). Returns ``(records, label)`` or
-    ``(None, None)`` with the error printed.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.fi.journal import cache_dir, journal_dir
-    from repro.sdc import (load_journal_records, records_from_journal,
-                           records_from_result)
-
-    path = Path(target)
-    if not path.is_file():
-        for candidate in (cache_dir() / f"{path.stem}.json",
-                          journal_dir() / f"{path.stem}.jsonl"):
-            if candidate.is_file():
-                path = candidate
-                break
-        else:
-            print(f"no cached result or journal for {target!r} under "
-                  f"{cache_dir()}", file=sys.stderr)
-            return None, None
-    if path.suffix == ".jsonl":
-        records = records_from_journal(load_journal_records(path))
-    else:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return None, None
-        records = records_from_result(payload)
-    return records, path.stem
-
-
 def _cmd_sdc_profile(args) -> int:
-    from repro.sdc import build_profiles, render_profiles
+    import json
 
-    records, label = _resolve_sdc_records(args.target)
-    if records is None:
+    from repro.locator import cache_dir, read_jsonl
+    from repro.sdc import (build_profiles, records_from_journal,
+                           records_from_result, render_profiles)
+
+    files = _locate(args.target)
+    if files is None:
+        return 2
+    label = files.key
+    if files.result.is_file():
+        try:
+            payload = json.loads(files.result.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"cannot read {files.result}: {exc}", file=sys.stderr)
+            return 2
+        records = records_from_result(payload)
+    elif files.journal.is_file():
+        records = records_from_journal(
+            read_jsonl(files.journal, "journal record"))
+    else:
+        print(f"no cached result or journal for {args.target!r} under "
+              f"{cache_dir()}", file=sys.stderr)
         return 2
     if not records:
         print(f"{args.target} holds no SDC anatomy records — run the "
@@ -910,7 +894,7 @@ def _cmd_sdc_profile(args) -> int:
 def _cmd_sdc_report(args) -> int:
     import json
 
-    from repro.fi.journal import cache_dir
+    from repro.locator import cache_dir
     from repro.sdc import build_profiles, records_from_result, render_profiles
 
     d = cache_dir()
@@ -937,6 +921,11 @@ def _cmd_sdc_report(args) -> int:
         return 1
     print(f"{found} campaign(s) with SDC anatomy records")
     return 0
+
+
+#: What every key-taking subcommand accepts (see repro.locator.locate).
+_TARGET_HELP = ("campaign key, or the path of its result .json, journal "
+                "or telemetry event stream")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1059,7 +1048,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="record structured telemetry events (JSONL)")
     crun.add_argument("--events", default=None, metavar="PATH",
                       help="telemetry event stream destination (implies "
-                           "--telemetry; default: .repro_cache/telemetry/)")
+                           "--telemetry; default: the campaign's own "
+                           "stream, telemetry/<key>.jsonl in the cache)")
     crun.add_argument("--trace", default=None, metavar="PATH",
                       help="export a Chrome trace_event JSON after the run "
                            "(implies --telemetry; open in chrome://tracing "
@@ -1085,9 +1075,7 @@ def main(argv: list[str] | None = None) -> int:
     cplan.set_defaults(func=_cmd_campaign_plan)
     creport = campaign_sub.add_parser(
         "report", help="summarize a campaign's telemetry event stream")
-    creport.add_argument("target",
-                         help="events .jsonl, campaign journal path, or "
-                              "campaign key")
+    creport.add_argument("target", help=_TARGET_HELP)
     creport.add_argument("--trace", default=None, metavar="PATH",
                          help="also export the Chrome trace_event JSON")
     creport.set_defaults(func=_cmd_campaign_report)
@@ -1130,14 +1118,13 @@ def main(argv: list[str] | None = None) -> int:
     chistory.set_defaults(func=_cmd_campaign_history)
     cshow = campaign_sub.add_parser(
         "show", help="every recorded field of one campaign")
-    cshow.add_argument("key", help="campaign cache key (prefix ok)")
+    cshow.add_argument("target", help=_TARGET_HELP + " (key prefix ok)")
     cshow.set_defaults(func=_cmd_campaign_show)
     cwatch = campaign_sub.add_parser(
         "watch", help="live dashboard over an in-flight campaign "
                       "(journal + telemetry tail; also renders a "
                       "completed campaign's final frame)")
-    cwatch.add_argument("target",
-                        help="campaign key, journal path, or events path")
+    cwatch.add_argument("target", help=_TARGET_HELP)
     cwatch.add_argument("--interval", type=float, default=1.0, metavar="S",
                         help="refresh interval in seconds (default 1)")
     cwatch.add_argument("--once", action="store_true",
@@ -1164,8 +1151,7 @@ def main(argv: list[str] | None = None) -> int:
     precord = perf_sub.add_parser(
         "record", help="fold a campaign's telemetry into a named baseline")
     precord.add_argument("name", help="baseline name")
-    precord.add_argument("target",
-                         help="events .jsonl, journal path, or campaign key")
+    precord.add_argument("target", help=_TARGET_HELP)
     precord.add_argument("--note", default="", help="free-form annotation")
     precord.add_argument("--out", default=None, metavar="FILE",
                          help="also export the baseline as committable JSON")
@@ -1173,8 +1159,7 @@ def main(argv: list[str] | None = None) -> int:
     pcheck = perf_sub.add_parser(
         "check", help="gate a campaign's p99 latency and trials/sec "
                       "against a baseline (exit 1 on regression)")
-    pcheck.add_argument("target",
-                        help="events .jsonl, journal path, or campaign key")
+    pcheck.add_argument("target", help=_TARGET_HELP)
     pcheck.add_argument("--name", default=None,
                         help="ledger baseline to gate against")
     pcheck.add_argument("--baseline", default=None, metavar="FILE",
@@ -1201,9 +1186,7 @@ def main(argv: list[str] | None = None) -> int:
     sdc_sub = sdc_parser.add_subparsers(dest="sdc_command", required=True)
     sprofile = sdc_sub.add_parser(
         "profile", help="render corruption profiles from one campaign")
-    sprofile.add_argument("target",
-                          help="campaign journal .jsonl, cached result "
-                               ".json, or bare campaign key")
+    sprofile.add_argument("target", help=_TARGET_HELP)
     sprofile.add_argument("--by", default="site",
                           choices=["site", "severity", "metric"],
                           help="grouping field (default: injection site)")

@@ -18,6 +18,7 @@ from repro.fi.campaign import (
     AppProfile,
     CampaignResult,
     CampaignSpec,
+    campaign_key,
     default_trials,
     profile_app,
     run_campaign,
@@ -56,6 +57,7 @@ __all__ = [
     "AppProfile",
     "CampaignResult",
     "CampaignSpec",
+    "campaign_key",
     "StopRule",
     "CellPlan",
     "SuitePlan",

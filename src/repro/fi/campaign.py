@@ -100,7 +100,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.arch.config import GPUConfig
 from repro.arch.structures import Structure
@@ -112,7 +112,6 @@ from repro.fi.gpufi import (
     MicroarchInjector,
     plan_microarch_fault,
 )
-from repro.fi.journal import cache_dir
 from repro.fi.liveness import RFLiveness
 from repro.fi.nvbitfi import SoftwareInjector, plan_software_fault
 from repro.fi.outcomes import FaultOutcome, OutcomeCounts
@@ -120,6 +119,7 @@ from repro.fi.planner import StopRule
 from repro.fi.runner import ProgressFn, WorkerProgressFn, execute_trials
 import repro.fi.svf_modes as svf_modes
 from repro.kernels.base import DeviceHarness, GPUApplication, outputs_equal
+from repro.locator import cache_dir, events_path, result_path
 from repro.log import get_logger
 from repro.sim.access_log import GoldenRecorder
 from repro.sim.gpu import GPU
@@ -127,14 +127,13 @@ from repro.telemetry.events import (
     NULL,
     TelemetrySession,
     current_telemetry,
-    telemetry_events_path,
 )
 from repro.utils.rng import spawn_seeds
 
 __all__ = [
     "AppProfile", "CampaignResult", "CampaignSpec", "cache_dir",
-    "default_trials", "profile_app", "run_campaign", "seed_tag",
-    "trial_cycle_budget",
+    "campaign_key", "default_trials", "profile_app", "run_campaign",
+    "seed_tag", "trial_cycle_budget",
     "CACHE_VERSION", "DEFAULT_TRIALS", "CAMPAIGN_LEVELS",
     "FAULT_MODELS", "FAULT_TARGETS",
 ]
@@ -208,9 +207,6 @@ class AppProfile:
 
     def kernel_instructions(self, kernel: str) -> int:
         return sum(l["injectable"] for l in self.kernel_launches(kernel))
-
-    def kernel_loads(self, kernel: str) -> int:
-        return sum(l["injectable_loads"] for l in self.kernel_launches(kernel))
 
     def describes(self, app, config, harness_factory) -> bool:
         """Whether trials of ``app`` on ``config`` under
@@ -565,6 +561,92 @@ _LEVELS = {
 CAMPAIGN_LEVELS = tuple(_LEVELS)
 
 
+class _Cell(NamedTuple):
+    """A validated spec, resolved to what :func:`run_campaign` keys and
+    runs."""
+
+    key: str
+    app: GPUApplication
+    kernel: str
+    config: GPUConfig
+    level: _Level
+    harness_factory: object
+    stop_rule: StopRule | None
+    trials: int
+    planned: int
+
+
+def _resolve_cell(spec: CampaignSpec) -> _Cell:
+    if spec.level not in _LEVELS:
+        raise ConfigError(
+            f"unknown campaign level {spec.level!r} "
+            f"(known: {', '.join(CAMPAIGN_LEVELS)})")
+    app = _resolve_app(spec.app)
+    kernel = spec.kernel if spec.kernel is not None else app.kernel_names[0]
+    config = _resolve_config(spec.config, spec.level)
+    stop_rule = _resolve_stop_rule(spec)
+    if spec.fault_model not in FAULT_MODELS:
+        raise ConfigError(
+            f"unknown fault model {spec.fault_model!r} "
+            f"(known: {', '.join(FAULT_MODELS)})")
+    if spec.target not in FAULT_TARGETS:
+        raise ConfigError(
+            f"unknown fault target {spec.target!r} "
+            f"(known: {', '.join(FAULT_TARGETS)})")
+    if spec.level != "uarch" and _new_models(spec):
+        raise ConfigError(
+            "fault_model/target select microarchitecture-level fault "
+            f"variants; the {spec.level!r} level has no notion of them")
+    level = _LEVELS[spec.level](spec)
+    harness_factory = None
+    if spec.harden is not None:
+        from repro.hardening.registry import hardening_scheme  # local:
+        # the default path must not import kernel/hardening modules.
+
+        harness_factory = hardening_scheme(spec.harden)
+
+    trials = spec.trials if spec.trials is not None else default_trials()
+    # An explicit budget caps the adaptive plan regardless of `trials`;
+    # the key's "trials" entry is always the planned count, so a
+    # budget-100 spec and a trials-100 spec with the same rule (which
+    # behave identically) share one cache entry.
+    planned = spec.budget if spec.budget is not None else trials
+    key = _cache_key(
+        {
+            "v": CACHE_VERSION,
+            "kind": level.kind,
+            "app": app.name,
+            "app_seed": app.seed,
+            "kernel": kernel,
+            "config": config.name,
+            "trials": planned,
+            "seed": spec.seed,
+            **level.key_fields,
+            # Only present when on: off-path keys keep their legacy shape.
+            **({"sdc_anatomy": True} if spec.sdc_anatomy else {}),
+            **({"harden": spec.harden} if spec.harden else {}),
+            **({"fault_model": spec.fault_model}
+               if spec.fault_model != "transient" else {}),
+            **({"target": spec.target} if spec.target != "storage" else {}),
+            **({"stop_rule": stop_rule.to_payload()}
+               if stop_rule is not None else {}),
+        }
+    )
+    return _Cell(key, app, kernel, config, level, harness_factory,
+                 stop_rule, trials, planned)
+
+
+def _new_models(spec: CampaignSpec) -> bool:
+    return spec.fault_model != "transient" or spec.target != "storage"
+
+
+def campaign_key(spec: CampaignSpec) -> str:
+    """The cache key of the campaign ``spec`` names: the key its result,
+    journal and telemetry stream are filed under (see
+    :mod:`repro.locator`). Validates the spec like :func:`run_campaign`."""
+    return _resolve_cell(spec).key
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -594,63 +676,11 @@ def run_campaign(
     ``<cache_dir>/telemetry/<cache key>.jsonl``. The caller owns a
     session it passed in; campaign-created sessions are closed here.
     """
-    if spec.level not in _LEVELS:
-        raise ConfigError(
-            f"unknown campaign level {spec.level!r} "
-            f"(known: {', '.join(CAMPAIGN_LEVELS)})")
-    app = _resolve_app(spec.app)
-    kernel = spec.kernel if spec.kernel is not None else app.kernel_names[0]
-    config = _resolve_config(spec.config, spec.level)
-    stop_rule = _resolve_stop_rule(spec)
-    if spec.fault_model not in FAULT_MODELS:
-        raise ConfigError(
-            f"unknown fault model {spec.fault_model!r} "
-            f"(known: {', '.join(FAULT_MODELS)})")
-    if spec.target not in FAULT_TARGETS:
-        raise ConfigError(
-            f"unknown fault target {spec.target!r} "
-            f"(known: {', '.join(FAULT_TARGETS)})")
-    new_models = spec.fault_model != "transient" or spec.target != "storage"
-    if spec.level != "uarch" and new_models:
-        raise ConfigError(
-            "fault_model/target select microarchitecture-level fault "
-            f"variants; the {spec.level!r} level has no notion of them")
-    level = _LEVELS[spec.level](spec)
-    harness_factory = None
-    if spec.harden is not None:
-        from repro.hardening.registry import hardening_scheme  # local:
-        # the default path must not import kernel/hardening modules.
-
-        harness_factory = hardening_scheme(spec.harden)
-
+    key, app, kernel, config, level, harness_factory, stop_rule, trials, \
+        planned = _resolve_cell(spec)
     trials_from_env = spec.trials is None and spec.budget is None
-    trials = spec.trials if spec.trials is not None else default_trials()
-    # An explicit budget caps the adaptive plan regardless of `trials`;
-    # the key's "trials" entry is always the planned count, so a
-    # budget-100 spec and a trials-100 spec with the same rule (which
-    # behave identically) share one cache entry.
-    planned = spec.budget if spec.budget is not None else trials
     stop_payload = stop_rule.to_payload() if stop_rule is not None else None
-    key = _cache_key(
-        {
-            "v": CACHE_VERSION,
-            "kind": level.kind,
-            "app": app.name,
-            "app_seed": app.seed,
-            "kernel": kernel,
-            "config": config.name,
-            "trials": planned,
-            "seed": spec.seed,
-            **level.key_fields,
-            # Only present when on: off-path keys keep their legacy shape.
-            **({"sdc_anatomy": True} if spec.sdc_anatomy else {}),
-            **({"harden": spec.harden} if spec.harden else {}),
-            **({"fault_model": spec.fault_model}
-               if spec.fault_model != "transient" else {}),
-            **({"target": spec.target} if spec.target != "storage" else {}),
-            **({"stop_rule": stop_payload} if stop_rule is not None else {}),
-        }
-    )
+    new_models = _new_models(spec)
     if spec.use_cache:
         cached = _cache_load(key)
         if cached is not None:
@@ -786,7 +816,7 @@ def _cache_key(payload: dict) -> str:
 
 
 def _cache_load(key: str) -> dict | None:
-    path = cache_dir() / f"{key}.json"
+    path = result_path(key)
     try:
         text = path.read_text()
     except FileNotFoundError:
@@ -820,10 +850,10 @@ def _cache_store(key: str, payload: dict) -> None:
     crash mid-write can never leave a torn ``<key>.json`` and concurrent
     readers always see either nothing or one complete payload.
     """
-    d = cache_dir()
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{key}.json"
-    fd, tmp = tempfile.mkstemp(dir=str(d), prefix=f".{key}.", suffix=".tmp")
+    path = result_path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{key}.",
+                               suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(json.dumps(payload, sort_keys=True))
@@ -1014,7 +1044,7 @@ def _campaign_telemetry(key: str, telemetry: bool | None,
         return NULL, session, False
     owns = session is None
     if owns:
-        session = TelemetrySession(telemetry_events_path(key))
+        session = TelemetrySession(events_path(key))
     return session.telemetry(key), session, owns
 
 

@@ -33,23 +33,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.config import get_settings
+from repro.locator import journal_dir, journal_path, read_jsonl
 from repro.log import get_logger
 
 log = get_logger(__name__)
-
-
-def cache_dir() -> Path:
-    """Campaign cache location (``REPRO_CACHE_DIR``, default ``.repro_cache``)."""
-    return get_settings().cache_dir
-
-
-def journal_dir() -> Path:
-    return cache_dir() / "journal"
 
 
 class CampaignJournal:
@@ -57,54 +47,29 @@ class CampaignJournal:
 
     def __init__(self, key: str, directory: Path | None = None):
         self.key = key
-        self.path = (directory if directory is not None else journal_dir()) \
-            / f"{key}.jsonl"
+        self.path = journal_path(key, directory)
 
     def exists(self) -> bool:
         return self.path.exists()
 
     def load(self) -> list[dict]:
         """Return all valid records, dropping a torn tail if the writer died
-        mid-append (the file is compacted so future appends stay valid)."""
+        mid-append (the file is cut back to its valid prefix so future
+        appends stay valid)."""
         try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
+            return read_jsonl(self.path, "journal record", self._compact)
         except OSError as exc:
             log.warning("journal %s unreadable (%s); starting fresh",
                         self.path, exc)
             return []
-        records: list[dict] = []
-        valid_bytes = 0
-        for line in raw.splitlines(keepends=True):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                log.warning(
-                    "journal %s has a torn record after %d entries "
-                    "(interrupted append); dropping the tail",
-                    self.path.name, len(records))
-                break
-            if not isinstance(record, dict):
-                log.warning("journal %s entry %d is not an object; "
-                            "dropping the tail", self.path.name, len(records))
-                break
-            records.append(record)
-            valid_bytes += len(line)
-        if valid_bytes != len(raw):
-            self._compact(raw[:valid_bytes])
-        return records
 
-    def _compact(self, valid_prefix: bytes) -> None:
-        """Atomically rewrite the journal to its valid prefix."""
+    def _compact(self, valid_bytes: int) -> None:
+        """Truncate the journal to its valid prefix, durably."""
         try:
-            fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
-                                       prefix=f".{self.key}.", suffix=".tmp")
-            with os.fdopen(fd, "wb") as f:
-                f.write(valid_prefix)
+            with open(self.path, "r+b") as f:
+                f.truncate(valid_bytes)
                 f.flush()
                 os.fsync(f.fileno())
-            os.replace(tmp, self.path)
         except OSError as exc:
             log.warning("could not compact journal %s: %s", self.path, exc)
 
@@ -153,13 +118,14 @@ class JournalInfo(NamedTuple):
 def list_journals(directory: Path | None = None) -> list[JournalInfo]:
     """Inspect in-flight campaigns: one :class:`JournalInfo` per journal
     file, sorted by key. (Tuple-compatible with the historical
-    ``(key, trials, crashes)`` shape.)"""
+    ``(key, trials, crashes)`` shape.) Read-only: a journal's own writer
+    may be appending to it, so a torn tail is skipped, never cut."""
     d = directory if directory is not None else journal_dir()
     out: list[JournalInfo] = []
     if not d.is_dir():
         return out
     for path in sorted(d.glob("*.jsonl")):
-        records = CampaignJournal(path.stem, d).load()
+        records = read_jsonl(path, "journal record")
         trials = [r for r in records if r.get("event") == "trial"]
         crashes = sum(1 for r in records if r.get("event") == "crash")
         meta = next((r for r in records if r.get("event") == "meta"), None)

@@ -28,7 +28,6 @@ from repro.sdc.fingerprint import (
 from repro.sdc.profile import (
     CorruptionProfile,
     build_profiles,
-    load_journal_records,
     records_from_journal,
     records_from_result,
     render_profiles,
@@ -55,7 +54,6 @@ __all__ = [
     "build_profiles",
     "classify_sdc",
     "fingerprint_outputs",
-    "load_journal_records",
     "quality_metric",
     "quality_metrics",
     "records_from_journal",

@@ -15,25 +15,20 @@ such records into per-site (or per-severity, per-metric, ...)
 them as the table ``repro.cli sdc profile`` prints, including a bit-position
 density sparkline (LSB on the left).
 
-Records come from either live journals
-(:func:`load_journal_records` + :func:`records_from_journal`) or completed
-cached results (:func:`records_from_result`).
+Records come from either live journals (:func:`records_from_journal` over
+the records :func:`repro.locator.read_jsonl` reads) or completed cached
+results (:func:`records_from_result`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.log import get_logger
 from repro.sdc.fingerprint import BIT_BUCKETS
 
-log = get_logger(__name__)
-
 __all__ = [
-    "CorruptionProfile", "build_profiles", "load_journal_records",
-    "records_from_journal", "records_from_result", "render_profiles",
+    "CorruptionProfile", "build_profiles", "records_from_journal",
+    "records_from_result", "render_profiles",
 ]
 
 #: Density ramp for the bit-position sparkline ('.' = few, '@' = peak).
@@ -152,24 +147,6 @@ def render_profiles(profiles: dict[str, CorruptionProfile],
     if mism:
         note += f", {mism} with corrupted output shapes"
     return f"== {title} ==\n{table}\n{note}"
-
-
-def load_journal_records(path: Path | str) -> list[dict]:
-    """Read a campaign journal JSONL; tolerates a torn final line."""
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn tail (killed mid-write): keep the valid prefix.
-                log.warning(
-                    "journal %s has a torn record after %d entr(ies); "
-                    "dropping the tail", Path(path).name, len(records))
-                break
-            if isinstance(record, dict):
-                records.append(record)
-    return records
 
 
 def records_from_journal(records: list[dict]) -> list[dict]:

@@ -68,9 +68,6 @@ class Buffer:
     addr: int
     nbytes: int
 
-    def word_addr(self, index: int) -> int:
-        return self.addr + 4 * index
-
 
 @dataclass(frozen=True)
 class KernelLaunch:

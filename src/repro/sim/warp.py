@@ -108,10 +108,6 @@ class Warp:
             self.pc[:] = self.upc
             self.diverged = True
 
-    @property
-    def runnable(self) -> bool:
-        return not self.finished and not self.waiting_barrier
-
 
 class CTA:
     """One cooperative thread array resident on an SM."""

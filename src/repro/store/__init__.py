@@ -45,7 +45,6 @@ from repro.store.perf import (
 )
 from repro.store.watch import (
     WatchSnapshot,
-    read_journal_prefix,
     render_watch_frame,
     snapshot,
     watch,
@@ -58,6 +57,5 @@ __all__ = [
     "DEFAULT_LATENCY_TOL", "DEFAULT_THROUGHPUT_TOL", "PerfCheck",
     "PerfMetrics", "PerfVerdict", "check_metrics", "load_baseline_file",
     "render_verdict", "write_baseline_file", "write_bench_artifact",
-    "WatchSnapshot", "read_journal_prefix", "render_watch_frame",
-    "snapshot", "watch",
+    "WatchSnapshot", "render_watch_frame", "snapshot", "watch",
 ]

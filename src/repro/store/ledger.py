@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.fi.campaign import seed_tag
+from repro.locator import cache_dir
 from repro.log import get_logger
 from repro.store.db import connect, store_path
 from repro.store.perf import PerfMetrics
@@ -326,10 +327,7 @@ class RunLedger:
         skipped with a logged warning, never quarantined or modified (the
         importer is strictly read-only on the cache).
         """
-        if cache is None:
-            from repro.fi.journal import cache_dir  # late: fi is heavier
-            cache = cache_dir()
-        cache = Path(cache)
+        cache = Path(cache) if cache is not None else cache_dir()
         imported = skipped = 0
         for path in sorted(cache.glob("*.json")):
             try:

@@ -1,10 +1,10 @@
 """``campaign watch``: a live dashboard over an in-flight campaign.
 
-A running campaign leaves two observable streams on disk: its journal
-(``<cache_dir>/journal/<key>.jsonl`` — one fsynced line per *committed*
+A running campaign leaves two observable streams on disk (found through
+:mod:`repro.locator`): its journal (one fsynced line per *committed*
 trial, in trial order) and, when telemetry is on, its event stream
-(``<cache_dir>/telemetry/<key>.jsonl`` — spans with worker identity).
-This module tails both read-only and renders a refresh-in-place frame:
+(spans with worker identity). This module tails both read-only and
+renders a refresh-in-place frame:
 
 * overall progress bar + committed/planned counts from the journal,
 * ETA extrapolated from the committed prefix's recent commit rate,
@@ -14,10 +14,9 @@ This module tails both read-only and renders a refresh-in-place frame:
 
 Reading is strictly non-intrusive. The writer side fsyncs whole lines, so
 a concurrently-growing journal is always a valid prefix plus at most one
-torn tail; :func:`read_journal_prefix` keeps the prefix and — unlike
-:meth:`repro.fi.journal.CampaignJournal.load` — never compacts the file
-(compaction is a *write*, and the watcher must not race the single
-journal writer).
+torn tail; :func:`repro.locator.read_jsonl` keeps the prefix and never
+compacts the file (compaction is a *write*, and the watcher must not race
+the single journal writer).
 
 A campaign that completes deletes its journal and caches its result;
 :func:`watch` treats journal-gone as completion, renders one final frame
@@ -31,41 +30,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
-from repro.config import get_settings
-from repro.log import get_logger
+from repro.locator import CampaignFiles, locate, read_jsonl
 
-__all__ = ["WatchSnapshot", "read_journal_prefix", "render_watch_frame",
-           "snapshot", "watch"]
-
-log = get_logger(__name__)
+__all__ = ["WatchSnapshot", "render_watch_frame", "snapshot", "watch"]
 
 #: Outcome display order (mirrors the FaultOutcome declaration order).
 _OUTCOMES = ("masked", "sdc", "timeout", "due", "crash")
-
-
-def read_journal_prefix(path: Path | str) -> list[dict]:
-    """All valid records of a (possibly still growing) journal.
-
-    Read-only: a torn tail — the writer mid-append, or a crash — is
-    dropped from the returned records but never compacted away on disk.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except (FileNotFoundError, OSError):
-        return []
-    records: list[dict] = []
-    for line in raw.splitlines():
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn tail: the committed prefix is everything before it
-        if not isinstance(record, dict):
-            break
-        records.append(record)
-    return records
 
 
 @dataclass
@@ -87,20 +59,22 @@ class WatchSnapshot:
     eta: float | None = None  # seconds to completion at `rate`
 
 
-def snapshot(key: str, *, prev: WatchSnapshot | None = None,
+def snapshot(target: str | CampaignFiles, *,
+             prev: WatchSnapshot | None = None,
              clock: Callable[[], float] = time.monotonic) -> WatchSnapshot:
     """Sample journal + telemetry into one :class:`WatchSnapshot`.
 
-    ``prev`` (the previous sample of the same campaign) turns the
-    committed-prefix delta into a rate and an ETA; without it the frame
-    shows progress but no extrapolation.
+    ``target`` is a campaign key, a path to one of its files or its
+    located files (see :func:`repro.locator.locate`). ``prev`` (the
+    previous sample of the same campaign) turns the committed-prefix
+    delta into a rate and an ETA; without it the frame shows progress but
+    no extrapolation.
     """
-    settings = get_settings()
-    journal_path = settings.cache_dir / "journal" / f"{key}.jsonl"
-    snap = WatchSnapshot(key=key, when=clock(),
-                         running=journal_path.exists())
-    records = read_journal_prefix(journal_path)
-    for record in records:
+    files = locate(target)
+    snap = WatchSnapshot(key=files.key, when=clock(),
+                         running=files.journal.exists())
+    # Both files may be mid-write: a torn last line is expected here.
+    for record in read_jsonl(files.journal, warn=False):
         event = record.get("event")
         if event == "meta":
             snap.tag = str(record.get("tag", ""))
@@ -116,9 +90,8 @@ def snapshot(key: str, *, prev: WatchSnapshot | None = None,
     if not snap.running:
         # Completed (or never journaled): the cached result, if one
         # exists, still gives the final outcome mix.
-        cached = settings.cache_dir / f"{key}.json"
         try:
-            payload = json.loads(cached.read_text(encoding="utf-8"))
+            payload = json.loads(files.result.read_text(encoding="utf-8"))
             counts = payload.get("counts", {})
             snap.outcome_counts = {k: int(v) for k, v in counts.items() if v}
             snap.committed = sum(int(v) for v in counts.values())
@@ -127,7 +100,7 @@ def snapshot(key: str, *, prev: WatchSnapshot | None = None,
         except (OSError, ValueError):
             pass
 
-    for event in _read_events_prefix(_find_events(key)):
+    for event in read_jsonl(files.events, warn=False):
         if event.get("kind") != "span":
             continue
         worker = event.get("worker")
@@ -146,44 +119,6 @@ def snapshot(key: str, *, prev: WatchSnapshot | None = None,
     if snap.running and snap.rate > 0 and snap.planned > snap.committed:
         snap.eta = (snap.planned - snap.committed) / snap.rate
     return snap
-
-
-def _find_events(key: str) -> Path:
-    """The campaign's telemetry stream: ``<cache_dir>/telemetry/
-    <key>.jsonl`` when the campaign owned its session, else the first
-    caller-named stream whose events carry this campaign key (``campaign
-    run --events out.jsonl`` picks the filename; the events still
-    identify the campaign)."""
-    d = get_settings().cache_dir / "telemetry"
-    default = d / f"{key}.jsonl"
-    if default.exists() or not d.is_dir():
-        return default
-    for candidate in sorted(d.glob("*.jsonl")):
-        try:
-            with open(candidate, encoding="utf-8") as f:
-                first = f.readline()
-            if json.loads(first).get("campaign") == key:
-                return candidate
-        except (OSError, ValueError, AttributeError):
-            continue
-    return default
-
-
-def _read_events_prefix(path: Path) -> list[dict]:
-    """Telemetry events with torn-tail tolerance (file may be mid-write)."""
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        return []
-    events: list[dict] = []
-    for line in raw.splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        if isinstance(event, dict):
-            events.append(event)
-    return events
 
 
 def _bar(done: int, total: int, width: int = 30) -> str:
@@ -230,23 +165,26 @@ def render_watch_frame(snap: WatchSnapshot) -> str:
     return "\n".join(lines)
 
 
-def watch(key: str, *, interval: float = 1.0, once: bool = False,
-          out=None, clock: Callable[[], float] = time.monotonic,
+def watch(target: str | CampaignFiles, *, interval: float = 1.0,
+          once: bool = False, out=None,
+          clock: Callable[[], float] = time.monotonic,
           sleep: Callable[[float], None] = time.sleep,
           max_frames: int | None = None) -> WatchSnapshot:
     """Follow a campaign until its journal disappears (== completion).
 
-    On a TTY, frames redraw in place (ANSI home+clear); elsewhere they
-    print sequentially. ``once`` renders a single frame and returns; the
-    injectable ``clock``/``sleep``/``max_frames`` exist for deterministic
-    tests. Returns the last snapshot taken.
+    ``target`` names the campaign as for :func:`snapshot`; it is located
+    once. On a TTY, frames redraw in place (ANSI home+clear); elsewhere
+    they print sequentially. ``once`` renders a single frame and returns;
+    the injectable ``clock``/``sleep``/``max_frames`` exist for
+    deterministic tests. Returns the last snapshot taken.
     """
+    files = locate(target)
     out = sys.stdout if out is None else out
     is_tty = getattr(out, "isatty", lambda: False)()
     prev: WatchSnapshot | None = None
     frames = 0
     while True:
-        snap = snapshot(key, prev=prev, clock=clock)
+        snap = snapshot(files, prev=prev, clock=clock)
         frame = render_watch_frame(snap)
         if is_tty:
             out.write("\x1b[H\x1b[2J" + frame + "\n")

@@ -54,31 +54,12 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.config import get_settings
-from repro.log import get_logger
-
-log = get_logger(__name__)
+from repro.locator import read_jsonl, telemetry_dir
 
 __all__ = [
     "NULL", "Telemetry", "TelemetrySession", "current_telemetry",
     "read_events", "set_current_telemetry", "telemetry_dir",
-    "telemetry_events_path",
 ]
-
-
-def telemetry_dir() -> Path:
-    """Where campaign event streams live (``<cache_dir>/telemetry``).
-
-    Resolved through :mod:`repro.config` directly (not
-    ``repro.fi.journal``) so the telemetry package never imports the
-    fault-injection stack — the dependency points the other way.
-    """
-    return get_settings().cache_dir / "telemetry"
-
-
-def telemetry_events_path(key: str) -> Path:
-    """Default event-stream location for a campaign cache key."""
-    return telemetry_dir() / f"{key}.jsonl"
 
 
 class _NullSpan:
@@ -250,24 +231,9 @@ class TelemetrySession:
 
 
 def read_events(path: Path | str) -> list[dict]:
-    """Load an event stream back; tolerates a torn final line.
-
-    A campaign killed mid-write (or still writing) leaves a partial last
-    line; the valid prefix is kept and the tear is reported as a logged
-    warning rather than an exception — event streams are observability
-    data, never worth failing a reader over.
-    """
-    events: list[dict] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                log.warning(
-                    "event stream %s has a torn record after %d event(s) "
-                    "(interrupted write); dropping the tail",
-                    Path(path).name, len(events))
-                break
-            if isinstance(event, dict):
-                events.append(event)
-    return events
+    """Load an event stream back: its valid prefix, with a torn final
+    line (a campaign killed mid-write, or still writing) dropped and
+    reported as a logged warning rather than an exception — event streams
+    are observability data, never worth failing a reader over. A missing
+    stream reads as empty."""
+    return read_jsonl(path, "event")

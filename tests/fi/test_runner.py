@@ -192,6 +192,27 @@ def test_journal_torn_tail_dropped_and_compacted(tmp_path):
     assert not j.exists()
 
 
+def test_list_journals_never_cuts_a_live_writers_tail(tmp_path):
+    """`campaign status`/`gc` list journals while their campaigns may
+    still be appending: a half-written record must survive the listing
+    and be complete once its writer finishes the line."""
+    import json
+
+    j = CampaignJournal("k1", tmp_path)
+    r0 = {"event": "trial", "trial": 0, "seed": 11, "outcome": "masked",
+          "cycles": 5}
+    r1 = {"event": "trial", "trial": 1, "seed": 12, "outcome": "sdc",
+          "cycles": 6}
+    j.append(r0)
+    line = json.dumps(r1, sort_keys=True) + "\n"
+    with open(j.path, "a", encoding="utf-8") as writer:
+        writer.write(line[:20])
+        writer.flush()
+        assert list_journals(tmp_path)[0].trials == 1
+        writer.write(line[20:])
+    assert j.load() == [r0, r1]
+
+
 def test_journal_prefix_validation():
     recs = [{"trial": 0, "seed": 11, "outcome": "masked", "cycles": 1},
             {"trial": 1, "seed": 12, "outcome": "due", "cycles": 2}]

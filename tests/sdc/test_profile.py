@@ -2,9 +2,9 @@
 
 import json
 
+from repro.locator import read_jsonl as load_journal_records
 from repro.sdc import (
     build_profiles,
-    load_journal_records,
     records_from_journal,
     records_from_result,
     render_profiles,

@@ -4,7 +4,8 @@ ETA extrapolation, and follow-mode completion."""
 import io
 import json
 
-from repro.store import read_journal_prefix, render_watch_frame, watch
+from repro.locator import read_jsonl as read_journal_prefix
+from repro.store import render_watch_frame, watch
 from repro.store.watch import WatchSnapshot, snapshot
 
 
@@ -90,8 +91,8 @@ def test_snapshot_worker_lanes_from_telemetry(tmp_cache):
 
 
 def test_snapshot_finds_caller_named_event_stream(tmp_cache):
-    """`campaign run --events out.jsonl` picks the filename; the watcher
-    still finds the stream through its campaign field."""
+    """`campaign run --events out.jsonl` picks the filename; watching
+    that stream finds its campaign through the campaign field."""
     _write_journal(tmp_cache, "k1", _records(1))
     tel = tmp_cache / "telemetry"
     tel.mkdir(parents=True, exist_ok=True)
@@ -99,7 +100,8 @@ def test_snapshot_finds_caller_named_event_stream(tmp_cache):
         f.write(json.dumps({"ts": 0.0, "kind": "span", "name": "trial",
                             "dur": 0.25, "worker": 3,
                             "campaign": "k1"}) + "\n")
-    snap = snapshot("k1")
+    snap = snapshot(str(tel / "custom-name.jsonl"))
+    assert snap.key == "k1" and snap.committed == 1
     assert snap.workers == {"w3": {"trials": 1, "busy": 0.25,
                                    "phase": "trial"}}
 

@@ -10,8 +10,8 @@ from repro.telemetry.events import (
     read_events,
     set_current_telemetry,
     telemetry_dir,
-    telemetry_events_path,
 )
+from repro.locator import events_path as telemetry_events_path
 
 REQUIRED_KEYS = {"ts", "kind", "name", "campaign", "worker"}
 
